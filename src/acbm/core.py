@@ -111,15 +111,27 @@ def quantize_levels(num_levels: int) -> np.ndarray:
     return 2.0 ** -np.arange(num_levels - 1, -1, -1)
 
 
+def quantize_index(p_hat, num_levels: int) -> np.ndarray:
+    """Per-element dyadic ceiling as an index into quantize_levels: the
+    smallest level >= p, everything at or below the smallest level mapping
+    to index 0 and NaN to the top level.  The index has the smallest
+    unsigned type that holds num_levels - 1."""
+    p = np.asarray(p_hat, dtype=np.float64)
+    idx = np.full(p.shape, num_levels - 1,
+                  dtype=np.min_scalar_type(num_levels - 1))
+    for level in quantize_levels(num_levels)[:-1]:
+        idx -= p <= level
+    return idx
+
+
 def quantize_array(p_hat: np.ndarray, num_levels: int) -> np.ndarray:
     """Vector quantizer along the last axis: per-element dyadic ceiling (the
     smallest level >= p, everything at or below the smallest level maps to
     it), then a running maximum so the result is non-decreasing.  This is the
     least element of the non-decreasing grid dominating p_hat."""
     levels = quantize_levels(num_levels)
-    idx = np.minimum(np.searchsorted(levels, p_hat, side="left"),
-                     num_levels - 1)
-    return np.maximum.accumulate(levels[idx], axis=-1)
+    return np.maximum.accumulate(levels[quantize_index(p_hat, num_levels)],
+                                 axis=-1)
 
 
 def quantize_sequence(p_hat, num_levels: int) -> QuantizedProbVector:

@@ -171,10 +171,30 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
     return coeffs[0] if single else coeffs
 
 
-def _cdfs_from_coefficients(coeffs: np.ndarray) -> list[ComponentCDF]:
-    return [ComponentCDF(component_index=i + 1,
-                         sorted_values=np.sort(coeffs[:, i]))
-            for i in range(coeffs.shape[1])]
+def training_cdfs(coeffs: np.ndarray) -> list[ComponentCDF]:
+    """Empirical CDF of each column of an (n, s) coefficient matrix.
+
+    Overwrites coeffs in place with the CDF values of its own entries, which
+    equal cdf_eval(cdf, column) bit for bit: a training value's CDF value is
+    its last-occurrence rank over n, so one sort per column serves both the
+    CDF and the values.
+    """
+    m = coeffs.shape[0]
+    cdfs = []
+    run_end = np.empty(m, dtype=bool)
+    run_end[-1] = True
+    values = np.empty(m)
+    for i in range(coeffs.shape[1]):
+        column = coeffs[:, i].copy()
+        perm = np.argsort(column)
+        sv = column[perm]
+        # last-occurrence rank of sv[k]: one past the end of its run of ties
+        np.not_equal(sv[1:], sv[:-1], out=run_end[:-1])
+        ends = np.flatnonzero(run_end) + 1
+        values[perm] = np.repeat(ends, np.diff(ends, prepend=0)) / m
+        coeffs[:, i] = values
+        cdfs.append(ComponentCDF(component_index=i + 1, sorted_values=sv))
+    return cdfs
 
 
 def build_component_cdfs(image: GrayImage, basis: PatchBasis) -> list[ComponentCDF]:
@@ -183,7 +203,7 @@ def build_component_cdfs(image: GrayImage, basis: PatchBasis) -> list[ComponentC
     blocks = interior_blocks(image, basis.block_side)
     if blocks.shape[0] < 2:
         raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
-    return _cdfs_from_coefficients(project(basis, blocks))
+    return training_cdfs(project(basis, blocks))
 
 
 def cdf_eval(cdf: ComponentCDF, value):
@@ -196,20 +216,23 @@ def cdf_eval(cdf: ComponentCDF, value):
     if m == 0:
         raise ValueError("empty CDF")
     x = np.asarray(value, dtype=np.float64)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x[None]
-    j = np.searchsorted(sv, x, side="right")
-    out = np.empty(x.shape, dtype=np.float64)
-    out[j == 0] = 0.0
-    out[j == m] = 1.0
-    mid = (j > 0) & (j < m)
-    if mid.any():
-        jm = j[mid]
-        left = sv[jm - 1]
-        right = sv[jm]
-        out[mid] = (jm + (x[mid] - left) / (right - left)) / m
-    return float(out[0]) if scalar else out
+    # searching the values in ascending order keeps the binary searches in
+    # cache, and makes the tails a prefix and a suffix of the sorted queries
+    flat = np.ascontiguousarray(x).reshape(-1)
+    perm = np.argsort(flat)
+    xs = flat[perm]
+    j = np.searchsorted(sv, xs, side="right")
+    lo, hi = np.searchsorted(j, [0, m - 1], side="right")
+    out_sorted = np.empty(xs.shape)
+    out_sorted[:lo] = 0.0
+    out_sorted[hi:] = 1.0
+    jm = j[lo:hi]
+    left = sv[jm - 1]
+    right = sv[jm]
+    out_sorted[lo:hi] = (jm + (xs[lo:hi] - left) / (right - left)) / m
+    out = np.empty(flat.shape)
+    out[perm] = out_sorted
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def sample_coefficients(cdfs: list[ComponentCDF], rng: np.random.Generator,
@@ -219,10 +242,15 @@ def sample_coefficients(cdfs: list[ComponentCDF], rng: np.random.Generator,
     s = len(cdfs)
     u = rng.random((count, s))
     out = np.empty((count, s))
+    values = np.empty(count)
     for i, cdf in enumerate(cdfs):
         m = cdf.sorted_values.size
         ranks = np.arange(1, m + 1) / m
-        out[:, i] = np.interp(u[:, i], ranks, cdf.sorted_values)
+        # interpolating at ascending u keeps the searches in cache
+        column = u[:, i].copy()
+        perm = np.argsort(column)
+        values[perm] = np.interp(column[perm], ranks, cdf.sorted_values)
+        out[:, i] = values
     return out
 
 

@@ -67,10 +67,23 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
 def candidate_nfa_block(hq: np.ndarray, hqp: np.ndarray, n_test: int,
                         num_levels: int) -> np.ndarray:
     """NFA of candidates whose gathered CDF values are hqp, against
-    references with values hq (components along the last axis)."""
-    p = core.resemblance_probability(hq, hqp)
-    quant = core.quantize_array(p, num_levels)
-    return n_test * quant.prod(axis=-1)
+    references with values hq (components along the last axis).
+
+    Quantized level j of quantize_levels is 2^-(num_levels-1-j), so the
+    product of the non-decreasing levels is 2^-k with k summed from the
+    running maximum of the level indices.  n_test * ldexp(1, -k) equals
+    n_test times the float product of the levels bit for bit, also where
+    that product underflows to 0.
+    """
+    idx = core.quantize_index(core.resemblance_probability(hq, hqp),
+                              num_levels)
+    running = idx[..., 0].copy()
+    exponent = running.astype(np.intp)
+    for c in range(1, idx.shape[-1]):
+        np.maximum(running, idx[..., c], out=running)
+        exponent += running
+    exponent -= (num_levels - 1) * idx.shape[-1]
+    return n_test * np.ldexp(1.0, exponent)
 
 
 def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
@@ -88,13 +101,10 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"params block side {side}")
 
-    coeffs_sec = patch_model.project(
+    # the coefficient matrix is overwritten with its own CDF values
+    h_sec = patch_model.project(
         basis, patch_model.interior_blocks(secondary, side))
-    cdfs = patch_model._cdfs_from_coefficients(coeffs_sec)
-    # reuse the coefficient matrix as CDF-value storage
-    h_sec = coeffs_sec
-    for i, cdf in enumerate(cdfs):
-        h_sec[:, i] = patch_model.cdf_eval(cdf, coeffs_sec[:, i])
+    cdfs = patch_model.training_cdfs(h_sec)
 
     order, hq = reference_tables(reference, basis, cdfs,
                                  params.num_components)

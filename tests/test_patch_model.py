@@ -26,6 +26,7 @@ from acbm.patch_model import (
     sample_background_block,
     sample_coefficients,
     save_basis,
+    training_cdfs,
 )
 
 
@@ -250,10 +251,43 @@ def test_cdf_monotone():
 
 def test_cdf_vector_matches_scalar():
     rng = np.random.default_rng(24)
-    cdf = ComponentCDF(1, np.sort(rng.normal(size=64)))
-    probes = rng.normal(size=50)
-    vec = cdf_eval(cdf, probes)
-    assert vec.tolist() == [cdf_eval(cdf, float(x)) for x in probes]
+    train = rng.normal(size=64)
+    cdf = ComponentCDF(1, np.sort(train))
+    # unsorted 2-D probes: duplicates, both tails and exact training values
+    mixed = np.concatenate([rng.normal(size=20), train[:10], train[:5],
+                            [train.min() - 1.0, train.max() + 1.0,
+                             train.min(), train.max()]])
+    mixed = rng.permutation(np.tile(mixed, 2)).reshape(6, 13)
+    for probes in (rng.normal(size=50), mixed):
+        vec = cdf_eval(cdf, probes)
+        assert vec.shape == probes.shape
+        assert vec.ravel().tolist() == [cdf_eval(cdf, float(x))
+                                        for x in probes.ravel()]
+
+
+def saturated_texture():
+    """96x96 texture with a saturated 60x60 square: about 35% of the 9x9
+    blocks are identical, so every component has a large run of ties."""
+    pixels = gen_texture(96, 96, seed=6).pixels.copy()
+    pixels[20:80, 20:80] = 255.0
+    return GrayImage(pixels)
+
+
+@pytest.mark.parametrize("image", [saturated_texture(),
+                                   GrayImage(np.full((40, 40), 90.0))],
+                         ids=["saturated", "constant"])
+def test_training_cdfs_match_cdf_eval(image):
+    basis = compute_patch_basis(saturated_texture(), 9)
+    coeffs = project(basis, interior_blocks(image, 9))
+    values = coeffs.copy()
+    cdfs = training_cdfs(values)
+    assert len(cdfs) == 81
+    for i, cdf in enumerate(cdfs):
+        column = coeffs[:, i]
+        assert np.unique(column).size < 0.7 * column.size
+        assert cdf.component_index == i + 1
+        assert np.array_equal(cdf.sorted_values, np.sort(column))
+        assert values[:, i].tobytes() == cdf_eval(cdf, column).tobytes(), i
 
 
 def test_build_cdfs_counts(texture_model):
@@ -308,6 +342,16 @@ def test_sampling_marginal_means(texture_model):
             assert np.allclose(draws[:, i], train.mean())
         else:
             assert abs(draws[:, i].mean() - train.mean()) <= 3.0 * se, i
+
+
+def test_sampling_matches_unsorted_interp(texture_model):
+    _, model = texture_model
+    got = sample_coefficients(model.cdfs, np.random.default_rng(3), 500)
+    u = np.random.default_rng(3).random((500, 81))
+    for i, cdf in enumerate(model.cdfs):
+        m = cdf.sorted_values.size
+        ref = np.interp(u[:, i], np.arange(1, m + 1) / m, cdf.sorted_values)
+        assert got[:, i].tobytes() == ref.tobytes(), i
 
 
 def test_sampling_constant_model():

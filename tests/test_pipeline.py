@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from acbm import AcbmParams, MatchMode, densify_median, match_pair, match_pixel
+from acbm import (AcbmParams, MatchMode, core, densify_median, match_pair,
+                  match_pixel)
 from acbm.errors import BorderPixel, DimensionMismatch, HeightMismatch
 from acbm.imgio import CellState, DisparityMap, GrayImage
 from acbm.patch_model import compute_patch_basis, learn_background_model
-from acbm.pipeline import scan_candidates
+from acbm.pipeline import candidate_nfa_block, scan_candidates
 from acbm.validation import gen_texture, gen_translated_pair
 
 
@@ -123,7 +124,32 @@ def test_match_pixel_agrees_with_dense(small_pair):
             assert got.state == dense.state[y, x], (mode, q)
             if got.state == CellState.ACCEPTED:
                 assert got.disparity == dense.disparity[y, x], (mode, q)
-                assert got.nfa == pytest.approx(dense.nfa[y, x], rel=1e-12)
+                assert got.nfa == dense.nfa[y, x], (mode, q)
+
+
+@pytest.mark.parametrize("num_levels", [1, 2, 5, 9, 300])
+def test_candidate_nfa_block_matches_float_product(num_levels):
+    # (hq, hqp) pairs whose resemblance probability is exactly 0, 1 and
+    # every dyadic level 2^-j, from the central band and from both tails
+    pairs = [(0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+             (0.0, 0.5), (1.0, 0.5), (0.25, 1.0), (0.75, 0.0)]
+    for j in range(num_levels + 2):
+        step = 2.0 ** -(j + 1)
+        pairs += [(0.5, 0.5 + step), (0.5, 0.5 - step), (0.0, 2 * step),
+                  (1.0, 1.0 - 2 * step)]
+    rng = np.random.default_rng(31)
+    pairs += list(zip(rng.random(40), rng.random(40)))
+    pairs = np.array(pairs)
+    pick = pairs[rng.integers(0, len(pairs), (60, 7, 9))]
+    hq, hqp = pick[..., 0], pick[..., 1]
+    hq[0], hqp[0] = 0.5, 0.5                  # p = 0 in every component
+    hq[1], hqp[1] = 0.0, 1.0                  # p = 1 in every component
+    for n_test in (1, 260_100 * 126, 2**61 + 1):
+        ref = n_test * core.quantize_array(
+            core.resemblance_probability(hq, hqp), num_levels).prod(-1)
+        got = candidate_nfa_block(hq, hqp, n_test, num_levels)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_match_pixel_no_candidates():
