@@ -1,0 +1,42 @@
+"""Row bands of the interior grid and the thread pool that runs them.
+
+Once the background model is learned, a reference pixel's tables and tests
+depend only on that model and on the pixel's own row, so the interior grid
+is cut into bands of BAND_ROWS rows that are processed independently.  Each
+band task writes its own rows of arrays that the calling thread allocated,
+so results depend neither on the band height nor on the number of threads.
+
+The pool has one worker per CPU.  Its threads start on the first task, not
+at import.  A band task must not submit work to the pool itself: a task that
+waits on the pool it runs on can deadlock.
+"""
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
+BAND_ROWS = 32
+
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                           thread_name_prefix="acbm-band")
+
+
+def row_bands(rows: int) -> list[slice]:
+    """Consecutive BAND_ROWS-row slices covering range(rows); the last one
+    may be shorter."""
+    return [slice(y, min(y + BAND_ROWS, rows))
+            for y in range(0, rows, BAND_ROWS)]
+
+
+def run_parallel(task, items) -> list:
+    """task(item) for every item on the pool, results in item order.  Waits
+    for every task before raising the first error, so no task still writes
+    into the caller's arrays once this returns or raises."""
+    futures = [_POOL.submit(task, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def run_bands(task, rows: int) -> list:
+    """task(band) for every row band of range(rows), on the pool."""
+    return run_parallel(task, row_bands(rows))

@@ -88,6 +88,32 @@ def order_components(coeffs) -> np.ndarray:
     return np.argsort(-c, kind="stable")
 
 
+def top_components(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """Per row of an (n, s) coefficient matrix, the indices of the count
+    largest |coefficients| in order_components order: equal to
+    np.argsort(-abs(coeffs), axis=1, kind="stable")[:, :count].
+
+    The count-th largest magnitude is found by partitioning; components
+    above it are kept, and of those tied with it, the lowest indices fill
+    the remaining places.  Only the kept components are then sorted.
+    """
+    a = np.abs(coeffs)
+    s = a.shape[1]
+    if count >= s:
+        return np.argsort(-a, axis=1, kind="stable")
+    nth = np.partition(a, s - count, axis=1)[:, s - count, None]
+    keep = a >= nth
+    tied = np.flatnonzero(keep.sum(axis=1) > count)
+    if tied.size:
+        at_nth = a[tied] == nth[tied]
+        room = count - (a[tied] > nth[tied]).sum(axis=1, keepdims=True)
+        keep[tied] &= ~at_nth | (np.cumsum(at_nth, axis=1) <= room)
+    kept = np.nonzero(keep)[1].reshape(-1, count)
+    by_size = np.argsort(-np.take_along_axis(a, kept, axis=1), axis=1,
+                         kind="stable")
+    return np.take_along_axis(kept, by_size, axis=1)
+
+
 def resemblance_probability(h_q, h_qp):
     """Probability that a background block lands at least as close to the
     reference as the candidate did, in one component.

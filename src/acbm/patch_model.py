@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bands
 from .errors import (BlockOutOfBounds, CorruptHeader, DimensionMismatch,
                      EigenNoConvergence, ImageTooSmall, TruncatedData,
                      UnreadableFile, UnsupportedFormat, WriteFailure)
@@ -64,16 +65,24 @@ def extract_block(image: GrayImage, q: tuple[int, int], block_side: int) -> np.n
     return win.reshape(-1).copy()
 
 
-def interior_blocks(image: GrayImage, block_side: int) -> np.ndarray:
-    """All complete blocks as an (n, s) matrix, one row per interior pixel,
-    enumerated row-major over the interior grid."""
+def interior_shape(image: GrayImage, block_side: int) -> tuple[int, int]:
+    """(rows, columns) of the interior grid: the centers of complete blocks."""
     if block_side < 1 or block_side % 2 == 0:
         raise ValueError(f"block side must be odd and positive, got {block_side}")
     if image.height < block_side or image.width < block_side:
         raise ImageTooSmall(f"{image.width}x{image.height} image has no complete "
                             f"{block_side}x{block_side} block")
+    return image.height - block_side + 1, image.width - block_side + 1
+
+
+def interior_blocks(image: GrayImage, block_side: int,
+                    rows: slice = slice(None)) -> np.ndarray:
+    """All complete blocks as an (n, s) matrix, one row per interior pixel,
+    enumerated row-major over the interior grid; `rows` restricts them to a
+    band of interior rows."""
+    interior_shape(image, block_side)
     win = np.lib.stride_tricks.sliding_window_view(
-        image.pixels, (block_side, block_side))
+        image.pixels, (block_side, block_side))[rows]
     n = win.shape[0] * win.shape[1]
     return win.reshape(n, block_side * block_side)
 
@@ -171,39 +180,61 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
     return coeffs[0] if single else coeffs
 
 
+def project_image(basis: PatchBasis, image: GrayImage) -> np.ndarray:
+    """Coefficients of every complete block of the image, an (n, s) matrix
+    in interior_blocks order, projected in row bands on the band pool into
+    one table."""
+    hi, wi = interior_shape(image, basis.block_side)
+    table = np.empty((hi, wi, basis.size))
+
+    def band(rows):
+        table[rows] = project(
+            basis, interior_blocks(image, basis.block_side, rows)
+        ).reshape(-1, wi, basis.size)
+
+    bands.run_bands(band, hi)
+    return table.reshape(hi * wi, basis.size)
+
+
 def training_cdfs(coeffs: np.ndarray) -> list[ComponentCDF]:
     """Empirical CDF of each column of an (n, s) coefficient matrix.
 
     Overwrites coeffs in place with the CDF values of its own entries, which
     equal cdf_eval(cdf, column) bit for bit: a training value's CDF value is
     its last-occurrence rank over n, so one sort per column serves both the
-    CDF and the values.
+    CDF and the values.  Columns are sorted on the band pool; the sorted
+    values of all columns share one (s, n) block.
     """
-    m = coeffs.shape[0]
-    cdfs = []
-    run_end = np.empty(m, dtype=bool)
-    run_end[-1] = True
-    values = np.empty(m)
-    for i in range(coeffs.shape[1]):
-        column = coeffs[:, i].copy()
-        perm = np.argsort(column)
-        sv = column[perm]
+    m, s = coeffs.shape
+    # allocated here, not in the tasks: memory that a worker thread
+    # allocates and that outlives its task stays in that thread's arena
+    sorted_values = np.empty((s, m))
+
+    def column(i):
+        values = coeffs[:, i].copy()
+        perm = np.argsort(values)
+        sv = sorted_values[i]
+        np.take(values, perm, out=sv)
         # last-occurrence rank of sv[k]: one past the end of its run of ties
+        run_end = np.empty(m, dtype=bool)
+        run_end[-1] = True
         np.not_equal(sv[1:], sv[:-1], out=run_end[:-1])
         ends = np.flatnonzero(run_end) + 1
         values[perm] = np.repeat(ends, np.diff(ends, prepend=0)) / m
         coeffs[:, i] = values
-        cdfs.append(ComponentCDF(component_index=i + 1, sorted_values=sv))
-    return cdfs
+
+    bands.run_parallel(column, range(s))
+    return [ComponentCDF(component_index=i + 1, sorted_values=sorted_values[i])
+            for i in range(s)]
 
 
 def build_component_cdfs(image: GrayImage, basis: PatchBasis) -> list[ComponentCDF]:
     """Empirical CDFs of each component's coefficients over all complete
     blocks of the image."""
-    blocks = interior_blocks(image, basis.block_side)
-    if blocks.shape[0] < 2:
+    hi, wi = interior_shape(image, basis.block_side)
+    if hi * wi < 2:
         raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
-    return training_cdfs(project(basis, blocks))
+    return training_cdfs(project_image(basis, image))
 
 
 def cdf_eval(cdf: ComponentCDF, value):
@@ -238,19 +269,22 @@ def cdf_eval(cdf: ComponentCDF, value):
 def sample_coefficients(cdfs: list[ComponentCDF], rng: np.random.Generator,
                         count: int) -> np.ndarray:
     """Draw count independent coefficient vectors, each component sampled by
-    inverse-CDF from its own empirical distribution."""
-    s = len(cdfs)
-    u = rng.random((count, s))
-    out = np.empty((count, s))
-    values = np.empty(count)
-    for i, cdf in enumerate(cdfs):
-        m = cdf.sorted_values.size
-        ranks = np.arange(1, m + 1) / m
+    inverse-CDF from its own empirical distribution.  The uniforms are drawn
+    at once, so the draws do not depend on the band pool that turns each
+    component's column into values."""
+    u = rng.random((count, len(cdfs)))
+    out = np.empty_like(u)
+
+    def column(i):
+        sv = cdfs[i].sorted_values
+        ranks = np.arange(1, sv.size + 1) / sv.size
         # interpolating at ascending u keeps the searches in cache
-        column = u[:, i].copy()
-        perm = np.argsort(column)
-        values[perm] = np.interp(column[perm], ranks, cdf.sorted_values)
+        values = u[:, i].copy()
+        perm = np.argsort(values)
+        values[perm] = np.interp(values[perm], ranks, sv)
         out[:, i] = values
+
+    bands.run_parallel(column, range(len(cdfs)))
     return out
 
 

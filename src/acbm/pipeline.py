@@ -13,12 +13,13 @@ one pixel at a time and is the readable reference.  Both are deterministic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import core, patch_model, self_sim
+from . import bands, core, patch_model, self_sim
 from .core import AcbmParams, QuantizedProbVector
 from .errors import BorderPixel, DimensionMismatch, HeightMismatch
 from .imgio import CellState, DisparityMap, GrayImage
@@ -53,15 +54,25 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
                      cdfs, num_components: int):
     """Per interior pixel (row-major grid): indices of the num_components
     locally dominant components and the background CDF values of the
-    reference coefficients there.  Returns (order, h_ref) of shape (n, N)."""
-    coeffs = patch_model.project(
-        basis, patch_model.interior_blocks(image, basis.block_side))
-    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
-    order = np.ascontiguousarray(order[:, :num_components])
-    h = np.empty_like(coeffs)
-    for i, cdf in enumerate(cdfs):
-        h[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
-    return order, np.take_along_axis(h, order, axis=1)
+    reference coefficients there.  Returns (order, h_ref) of shape (n, N).
+    Row bands run on the band pool and fill the two tables."""
+    side = basis.block_side
+    hi, wi = patch_model.interior_shape(image, side)
+    order = np.empty((hi * wi, num_components), dtype=np.intp)
+    h_ref = np.empty((hi * wi, num_components))
+
+    def band(rows):
+        cells = slice(rows.start * wi, rows.stop * wi)
+        coeffs = patch_model.project(
+            basis, patch_model.interior_blocks(image, side, rows))
+        order[cells] = core.top_components(coeffs, num_components)
+        h = np.empty_like(coeffs)
+        for i, cdf in enumerate(cdfs):
+            h[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
+        h_ref[cells] = np.take_along_axis(h, order[cells], axis=1)
+
+    bands.run_bands(band, hi)
+    return order, h_ref
 
 
 def candidate_nfa_block(hq: np.ndarray, hqp: np.ndarray, n_test: int,
@@ -102,8 +113,7 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
                                 f"params block side {side}")
 
     # the coefficient matrix is overwritten with its own CDF values
-    h_sec = patch_model.project(
-        basis, patch_model.interior_blocks(secondary, side))
+    h_sec = patch_model.project_image(basis, secondary)
     cdfs = patch_model.training_cdfs(h_sec)
 
     order, hq = reference_tables(reference, basis, cdfs,
@@ -126,28 +136,34 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
     best_d = np.zeros((hi, wi_r), dtype=np.int32)
     has_candidate = np.zeros((hi, wi_r), dtype=bool)
 
+    def scan_band(rows, d, lo, hi_col, cross_d):
+        cells = np.s_[rows, lo:hi_col]
+        hqp = np.take_along_axis(hs3[rows, lo + d:hi_col + d, :],
+                                 ord3[cells], axis=2)
+        nfa_d = candidate_nfa_block(hq3[cells], hqp, n_test,
+                                    params.num_levels)
+        cross = cross_d[cells] if need_cross else None
+        metric_d = cross if by_ssd else nfa_d
+        upd = metric_d < best_metric[cells]
+        best_metric[cells][upd] = metric_d[upd]
+        best_nfa[cells][upd] = nfa_d[upd]
+        best_d[cells][upd] = d
+        if need_cross:
+            best_cross[cells][upd] = cross[upd]
+
+    # every pixel sees the disparities in candidate order, one band at a
+    # time; the summed-area SSD maps stay whole-image so that their sums
+    # do not depend on the bands
     for d in params.candidate_order():
         lo = max(0, -d)
         hi_col = min(wi_r, wi_s - d)
         if lo >= hi_col:
             continue
-        cols = np.s_[:, lo:hi_col]
-        hqp = np.take_along_axis(hs3[:, lo + d:hi_col + d, :], ord3[cols],
-                                 axis=2)
-        nfa_d = candidate_nfa_block(hq3[cols], hqp, n_test, params.num_levels)
-        if need_cross:
-            cross_d = self_sim.aligned_ssd_map(reference, secondary, d,
-                                               side)[cols]
-        else:
-            cross_d = None
-        metric_d = cross_d if by_ssd else nfa_d
-        upd = metric_d < best_metric[cols]
-        best_metric[cols][upd] = metric_d[upd]
-        best_nfa[cols][upd] = nfa_d[upd]
-        best_d[cols][upd] = d
-        if need_cross:
-            best_cross[cols][upd] = cross_d[upd]
-        has_candidate[cols] = True
+        cross_d = (self_sim.aligned_ssd_map(reference, secondary, d, side)
+                   if need_cross else None)
+        bands.run_bands(functools.partial(scan_band, d=d, lo=lo,
+                                          hi_col=hi_col, cross_d=cross_d), hi)
+        has_candidate[:, lo:hi_col] = True
 
     if need_cross:
         min_self = self_sim.min_self_ssd_map(reference, params.search_radius,

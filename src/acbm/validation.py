@@ -8,11 +8,12 @@ disparity is more than one pixel off.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, patch_model, pipeline
+from . import bands, core, patch_model, pipeline
 from .errors import DimensionMismatch, UnreadableFile
 from .imgio import DisparityMap, GrayImage, load_disparity, load_gray
 from .self_sim import box_sum
@@ -113,26 +114,34 @@ def monte_carlo_false_alarms(image: GrayImage,
     if basis.block_side != params.block_side:
         raise DimensionMismatch(f"model block side {basis.block_side} != "
                                 f"params block side {params.block_side}")
+    hi, wi = patch_model.interior_shape(image, basis.block_side)
     order, hq = pipeline.reference_tables(image, basis, cdfs,
                                           params.num_components)
-    n_ref = order.shape[0]
+    n_ref = hi * wi
     n_test = core.number_of_tests(image.width * image.height, params)
     rounds = 2 * params.search_radius + 1
+
+    def band_hits(rows, coeffs):
+        cells = slice(rows.start * wi, rows.stop * wi)
+        blocks = basis.mean_block + coeffs[cells] @ basis.eigenvectors
+        projected = patch_model.project(basis, blocks)
+        hs = np.empty_like(projected)
+        for i, cdf in enumerate(cdfs):
+            hs[:, i] = patch_model.cdf_eval(cdf, projected[:, i])
+        hqp = np.take_along_axis(hs, order[cells], axis=1)
+        nfas = pipeline.candidate_nfa_block(hq[cells], hqp, n_test,
+                                            params.num_levels)
+        return int((nfas <= params.epsilon).sum())
+
     counts = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
         for _ in range(rounds):
+            # drawn whole, in sequence, so the draws do not depend on bands
             coeffs = patch_model.sample_coefficients(cdfs, rng, n_ref)
-            blocks = basis.mean_block + coeffs @ basis.eigenvectors
-            projected = patch_model.project(basis, blocks)
-            hs = np.empty_like(projected)
-            for i, cdf in enumerate(cdfs):
-                hs[:, i] = patch_model.cdf_eval(cdf, projected[:, i])
-            hqp = np.take_along_axis(hs, order, axis=1)
-            nfas = pipeline.candidate_nfa_block(hq, hqp, n_test,
-                                                params.num_levels)
-            hits += int((nfas <= params.epsilon).sum())
+            hits += sum(bands.run_bands(
+                functools.partial(band_hits, coeffs=coeffs), hi))
         counts[t] = hits
     return float(counts.mean())
 

@@ -22,6 +22,7 @@ from acbm.core import (
     quantize_levels,
     quantize_sequence,
     resemblance_probability,
+    top_components,
 )
 from acbm.errors import Overflow
 
@@ -104,6 +105,37 @@ def test_order_components_sorted_magnitudes():
         c = rng.normal(size=rng.integers(1, 30))
         mags = np.abs(c)[order_components(c)]
         assert (np.diff(mags) <= 0).all()
+
+
+def stable_top(coeffs, count):
+    return np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :count]
+
+
+@pytest.mark.parametrize("count", [1, 3, 9, 11, 12])
+def test_top_components_equals_stable_argsort(count):
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=(300, 12)) * np.linspace(4.0, 0.5, 12)
+    c[0] = 0.0                                    # every magnitude tied
+    c[1] = np.where(np.arange(12) % 2, 1.5, -1.5)  # +- equal magnitudes
+    c[2] = [5, -5, 5, 4, -3, 3, -3, 3, 2, 2, -1, 0]
+    # tied exactly at the count-th place, the tie spanning the cut
+    base = np.sort(rng.random(12))[::-1] * 10
+    for k, row in enumerate(range(3, 14)):
+        c[row] = base
+        c[row, k:k + 3] = -c[row, k]
+        c[row] = c[row][rng.permutation(12)]
+    c[14:40] = np.round(c[14:40])                 # many small-integer ties
+    got = top_components(c, count)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, stable_top(c, count))
+
+
+def test_top_components_matches_order_components():
+    rng = np.random.default_rng(13)
+    c = np.round(rng.normal(size=(50, 25)) * 2)
+    got = top_components(c, 9)
+    for row, idx in zip(c, got):
+        assert idx.tolist() == order_components(row)[:9].tolist()
 
 
 # ------------------------------------------------------------- resemblance

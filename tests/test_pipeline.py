@@ -1,13 +1,19 @@
 """Dense matcher, single-pixel path, densify pass."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from acbm import (AcbmParams, MatchMode, core, densify_median, match_pair,
-                  match_pixel)
+from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
+                  match_pair, match_pixel)
 from acbm.errors import BorderPixel, DimensionMismatch, HeightMismatch
 from acbm.imgio import CellState, DisparityMap, GrayImage
-from acbm.patch_model import compute_patch_basis, learn_background_model
-from acbm.pipeline import candidate_nfa_block, scan_candidates
+from acbm.patch_model import (PatchBasis, cdf_eval, compute_patch_basis,
+                               interior_blocks, learn_background_model,
+                               project, training_cdfs)
+from acbm.pipeline import (candidate_nfa_block, reference_tables,
+                           scan_candidates)
 from acbm.validation import gen_texture, gen_translated_pair
 
 
@@ -125,6 +131,123 @@ def test_match_pixel_agrees_with_dense(small_pair):
             if got.state == CellState.ACCEPTED:
                 assert got.disparity == dense.disparity[y, x], (mode, q)
                 assert got.nfa == dense.nfa[y, x], (mode, q)
+
+
+# ------------------------------------------------------------- row bands
+
+@pytest.fixture(scope="module")
+def banded_pair():
+    """86 interior rows at block side 5: two full bands and a partial one,
+    with stripes and a saturated square across the first band edge."""
+    ref, sec, _ = gen_translated_pair(48, 90, 1, texture_seed=21,
+                                      stripe_rows=(28, 40))
+    ref.pixels[24:44, 30:46] = 255.0
+    sec.pixels[24:44, 31:47] = 255.0
+    params = AcbmParams(search_radius=3, block_side=5)
+    model = learn_background_model(sec, 5)
+    return ref, sec, params, model
+
+
+def dmap_bytes(dmap):
+    return (dmap.state.tobytes(), dmap.disparity.tobytes(),
+            dmap.nfa.tobytes())
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_match_pixel_agrees_across_band_edges(banded_pair, mode):
+    ref, sec, params, model = banded_pair
+    half = params.block_side // 2
+    dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+    rows = ref.height - params.block_side + 1
+    edges = bands.row_bands(rows)
+    assert len(edges) == 3 and rows % bands.BAND_ROWS
+    # interior rows on both sides of every band edge, and the last row
+    probe_rows = {rows - 1}
+    for band in edges[1:]:
+        probe_rows |= {band.start - 1, band.start}
+    states = set()
+    for y in sorted(r + half for r in probe_rows):
+        for x in range(half, ref.width - half):
+            got = match_pixel((x, y), model, params, ref, sec, mode=mode)
+            states.add(got.state)
+            assert got.state == dense.state[y, x], (x, y)
+            if got.state == CellState.ACCEPTED:
+                assert got.disparity == dense.disparity[y, x], (x, y)
+                assert got.nfa == dense.nfa[y, x], (x, y)
+            else:
+                assert dense.disparity[y, x] == 0
+                assert np.isnan(dense.nfa[y, x])
+    assert CellState.ACCEPTED in states and len(states) > 1
+
+
+@pytest.mark.parametrize("band_rows", [1, 7, 1000])
+def test_match_pair_independent_of_band_height(banded_pair, band_rows,
+                                               monkeypatch):
+    ref, sec, params, model = banded_pair
+    expected = {mode: dmap_bytes(match_pair(ref, sec, params,
+                                            basis=model.basis, mode=mode))
+                for mode in MatchMode}
+    monkeypatch.setattr(bands, "BAND_ROWS", band_rows)
+    for mode in MatchMode:
+        got = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+        assert dmap_bytes(got) == expected[mode], mode
+
+
+def oracle_reference_tables(image, basis, cdfs, num_components):
+    """Whole image at once: one projection, a full stable sort of the
+    magnitudes, every component's CDF values, then the gather."""
+    coeffs = project(basis, interior_blocks(image, basis.block_side))
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
+    order = order[:, :num_components]
+    h = np.stack([cdf_eval(cdf, coeffs[:, i]) for i, cdf in enumerate(cdfs)],
+                 axis=1)
+    return order, np.take_along_axis(h, order, axis=1)
+
+
+@pytest.mark.parametrize("learned", [True, False])
+def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
+    ref, sec, _, model = banded_pair
+    if learned:
+        basis = model.basis
+    else:
+        # identity basis: a coefficient is a pixel value, so the blocks of
+        # the saturated square tie in every component
+        basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
+    cdfs = training_cdfs(project(basis, interior_blocks(sec, 5)))
+    for count in (5, 9, 25):
+        order, h_ref = reference_tables(ref, basis, cdfs, count)
+        want_order, want_h = oracle_reference_tables(ref, basis, cdfs, count)
+        assert order.shape == want_order.shape == (86 * 44, count)
+        assert np.array_equal(order, want_order)
+        assert h_ref.tobytes() == want_h.tobytes()
+
+
+def test_match_pair_repeats_byte_for_byte(banded_pair):
+    ref, sec, params, model = banded_pair
+    first = dmap_bytes(match_pair(ref, sec, params, basis=model.basis))
+    assert dmap_bytes(match_pair(ref, sec, params, basis=model.basis)) == \
+        first
+    # callers on several threads share the band pool; frequent thread
+    # switches would expose a band writing outside its own rows
+    results = [None] * 4
+
+    def call(k):
+        results[k] = dmap_bytes(match_pair(ref, sec, params,
+                                           basis=model.basis))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(k,))
+                   for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == first for r in results)
 
 
 @pytest.mark.parametrize("num_levels", [1, 2, 5, 9, 300])

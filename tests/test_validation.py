@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from acbm import AcbmParams, evaluate, gen_noise_pair, gen_texture
+from acbm import (AcbmParams, bands, core, evaluate, gen_noise_pair,
+                  gen_texture, patch_model, pipeline)
 from acbm.errors import DimensionMismatch
 from acbm.imgio import CellState, DisparityMap, GrayImage, save_pgm
 from acbm.patch_model import learn_background_model
@@ -185,3 +186,39 @@ def test_monte_carlo_deterministic_and_small():
     assert m1 <= 2.0    # bound is epsilon = 1 in expectation
     with pytest.raises(ValueError):
         monte_carlo_false_alarms(img, model, params, trials=0)
+
+
+def unbanded_false_alarms(image, model, params, trials, seed):
+    """The Monte-Carlo round loop over the whole image at once."""
+    basis, cdfs = model.basis, model.cdfs
+    order, hq = pipeline.reference_tables(image, basis, cdfs,
+                                          params.num_components)
+    n_test = core.number_of_tests(image.width * image.height, params)
+    counts = []
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        hits = 0
+        for _ in range(2 * params.search_radius + 1):
+            coeffs = patch_model.sample_coefficients(cdfs, rng, len(order))
+            blocks = basis.mean_block + coeffs @ basis.eigenvectors
+            projected = patch_model.project(basis, blocks)
+            hs = np.stack([patch_model.cdf_eval(cdf, projected[:, i])
+                           for i, cdf in enumerate(cdfs)], axis=1)
+            hqp = np.take_along_axis(hs, order, axis=1)
+            nfas = pipeline.candidate_nfa_block(hq, hqp, n_test,
+                                                params.num_levels)
+            hits += int((nfas <= params.epsilon).sum())
+        counts.append(hits)
+    return float(np.mean(counts))
+
+
+def test_monte_carlo_banded_equals_unbanded():
+    # 112 interior rows at block side 9: three full bands and a partial one
+    img = gen_texture(36, 120, seed=8)
+    rows = img.height - 9 + 1
+    assert len(bands.row_bands(rows)) == 4 and rows % bands.BAND_ROWS
+    model = learn_background_model(img)
+    params = AcbmParams(search_radius=2, epsilon=1e6)
+    got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
+    assert got > 1000   # enough hits that a lost or doubled row would show
+    assert got == unbanded_false_alarms(img, model, params, trials=2, seed=9)
