@@ -56,6 +56,8 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
     locally dominant components and the background CDF values of the
     reference coefficients there.  Returns (order, h_ref) of shape (n, N).
     Row bands run on the band pool and fill the two tables."""
+    if len(cdfs) != basis.size:
+        raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
     side = basis.block_side
     hi, wi = patch_model.interior_shape(image, side)
     order = np.empty((hi * wi, num_components), dtype=np.intp)

@@ -107,13 +107,20 @@ def monte_carlo_false_alarms(image: GrayImage,
     """Empirical check of the false-alarm bound: per trial, every interior
     pixel of `image` is matched against 2R+1 blocks drawn from the background
     model, and meaningful matches are counted with the same number of tests
-    as a real run.  Returns the mean count per trial (expected <= epsilon)."""
+    as a real run.  Returns the mean count per trial (expected <= epsilon).
+
+    Each sampled block is rebuilt and projected again before its CDF values
+    are taken, as a real candidate would be; under tied training values that
+    round trip does not return the uniform draws.  A component's CDF is
+    evaluated only at the pixels that test it."""
     if trials < 1:
         raise ValueError("need at least one trial")
     basis, cdfs = model.basis, model.cdfs
     if basis.block_side != params.block_side:
         raise DimensionMismatch(f"model block side {basis.block_side} != "
                                 f"params block side {params.block_side}")
+    if len(cdfs) != basis.size:
+        raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
     hi, wi = patch_model.interior_shape(image, basis.block_side)
     order, hq = pipeline.reference_tables(image, basis, cdfs,
                                           params.num_components)
@@ -121,15 +128,31 @@ def monte_carlo_false_alarms(image: GrayImage,
     n_test = core.number_of_tests(image.width * image.height, params)
     rounds = 2 * params.search_radius + 1
 
-    def band_hits(rows, coeffs):
+    # the flat hqp cells that test each component and the pixels they read;
+    # order comes from the reference, so this holds for every round
+    flat_order = order.reshape(-1)
+    by_component = np.argsort(flat_order, kind="stable")
+    ends = np.searchsorted(flat_order[by_component], np.arange(basis.size),
+                           side="right")
+    groups = [(i, cells, cells // params.num_components)
+              for i, cells in enumerate(np.split(by_component, ends[:-1]))
+              if cells.size]
+    hqp = np.empty_like(hq)
+    hqp_flat = hqp.reshape(-1)
+
+    def reproject(rows, coeffs):
+        # each band reads and writes only its own rows of the round's table
         cells = slice(rows.start * wi, rows.stop * wi)
-        blocks = basis.mean_block + coeffs[cells] @ basis.eigenvectors
-        projected = patch_model.project(basis, blocks)
-        hs = np.empty_like(projected)
-        for i, cdf in enumerate(cdfs):
-            hs[:, i] = patch_model.cdf_eval(cdf, projected[:, i])
-        hqp = np.take_along_axis(hs, order[cells], axis=1)
-        nfas = pipeline.candidate_nfa_block(hq[cells], hqp, n_test,
+        coeffs[cells] = patch_model.project(
+            basis, basis.mean_block + coeffs[cells] @ basis.eigenvectors)
+
+    def component_values(group, coeffs):
+        i, cells, pixels = group
+        hqp_flat[cells] = patch_model.cdf_eval(cdfs[i], coeffs[pixels, i])
+
+    def band_hits(rows):
+        cells = slice(rows.start * wi, rows.stop * wi)
+        nfas = pipeline.candidate_nfa_block(hq[cells], hqp[cells], n_test,
                                             params.num_levels)
         return int((nfas <= params.epsilon).sum())
 
@@ -140,8 +163,11 @@ def monte_carlo_false_alarms(image: GrayImage,
         for _ in range(rounds):
             # drawn whole, in sequence, so the draws do not depend on bands
             coeffs = patch_model.sample_coefficients(cdfs, rng, n_ref)
-            hits += sum(bands.run_bands(
-                functools.partial(band_hits, coeffs=coeffs), hi))
+            bands.run_bands(functools.partial(reproject, coeffs=coeffs), hi)
+            bands.run_parallel(
+                functools.partial(component_values, coeffs=coeffs), groups)
+            hits += sum(bands.run_bands(band_hits, hi))
+            del coeffs   # freed before the next draw: one whole table at a time
         counts[t] = hits
     return float(counts.mean())
 

@@ -4,7 +4,10 @@ Each criterion below prints one PASS/FAIL line (run with -s to see them) and
 asserts at its stated tolerance.  Criterion 5 needs the Middlebury Map pair
 under data/middlebury/map/ and politely skips when the data is not there.
 """
+import math
 import time
+from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -87,6 +90,59 @@ def test_criterion_2_monte_carlo_bound():
     report(2, "false-alarm bound", ok,
            f"mean {mean:.4f} over 20 trials (limit 2.0) in "
            f"{elapsed:.1f}s (limit 300s)")
+
+
+def exact_h0_hit_probability(n_test, params):
+    """Probability that one Monte-Carlo cell counts as a false alarm when
+    every resemblance probability is independent and U[0, 1], as under H0.
+
+    A uniform p falls on quantizer index 0 with probability 2^-(L-1) and on
+    index j > 0 with probability 2^-(L-j).  The NFA is n_test * 2^-k, where
+    k sums L-1 minus the running maximum of the indices, so a dynamic
+    programme over (running maximum, k) across the N components gives the
+    law of k exactly."""
+    levels = params.num_levels
+    p_index = [Fraction(1, 2 ** (levels - 1))] + [
+        Fraction(1, 2 ** (levels - j)) for j in range(1, levels)]
+    law = {(0, 0): Fraction(1)}
+    for _ in range(params.num_components):
+        step = defaultdict(Fraction)
+        for (top, k), prob in law.items():
+            for j, p_j in enumerate(p_index):
+                m = max(top, j)
+                step[m, k + levels - 1 - m] += prob * p_j
+        law = step
+    return sum(prob for (_, k), prob in law.items()
+               if n_test * math.ldexp(1.0, -k) <= params.epsilon)
+
+
+def exact_h0_false_alarms(width, height, params, trials):
+    """Mean and standard deviation of the mean false-alarm count per trial
+    of monte_carlo_false_alarms under H0: the cells (interior pixel, drawn
+    candidate) are independent Bernoulli trials."""
+    side = params.block_side
+    cells = ((width - side + 1) * (height - side + 1)
+             * (2 * params.search_radius + 1))
+    p = exact_h0_hit_probability(number_of_tests(width * height, params),
+                                 params)
+    return float(cells * p), math.sqrt(cells * p * (1 - p) / trials)
+
+
+def test_exact_h0_false_alarms_criterion_2_setup():
+    mean, _ = exact_h0_false_alarms(128, 128, AcbmParams(search_radius=5),
+                                    trials=20)
+    assert round(mean, 4) == 0.0087
+
+
+def test_monte_carlo_mean_matches_exact_h0():
+    # ties in the training values would bias the count; this texture has few
+    img = gen_texture(96, 96, seed=5)
+    params = AcbmParams(search_radius=3, epsilon=1e6)
+    exact, sd = exact_h0_false_alarms(96, 96, params, trials=2)
+    assert exact == 3388.0
+    mean = monte_carlo_false_alarms(img, learn_background_model(img), params,
+                                    trials=2, seed=3)
+    assert abs(mean - exact) <= 5 * sd, (mean, exact, sd)
 
 
 def test_criterion_3_shift_recovery(stripe_runs):

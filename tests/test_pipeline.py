@@ -222,6 +222,15 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         assert h_ref.tobytes() == want_h.tobytes()
 
 
+@pytest.mark.parametrize("count", [20, 30])
+def test_reference_tables_rejects_wrong_cdf_count(count):
+    img = gen_texture(40, 40, seed=1)
+    model = learn_background_model(img, 5)
+    cdfs = (model.cdfs * 2)[:count]
+    with pytest.raises(DimensionMismatch):
+        reference_tables(img, model.basis, cdfs, 9)
+
+
 def test_match_pair_repeats_byte_for_byte(banded_pair):
     ref, sec, params, model = banded_pair
     first = dmap_bytes(match_pair(ref, sec, params, basis=model.basis))

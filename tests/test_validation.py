@@ -6,7 +6,7 @@ from acbm import (AcbmParams, bands, core, evaluate, gen_noise_pair,
                   gen_texture, patch_model, pipeline)
 from acbm.errors import DimensionMismatch
 from acbm.imgio import CellState, DisparityMap, GrayImage, save_pgm
-from acbm.patch_model import learn_background_model
+from acbm.patch_model import BackgroundModel, learn_background_model
 from acbm.validation import (
     GroundTruth,
     gen_translated_pair,
@@ -188,6 +188,24 @@ def test_monte_carlo_deterministic_and_small():
         monte_carlo_false_alarms(img, model, params, trials=0)
 
 
+@pytest.fixture(scope="module")
+def saturated_model():
+    # the saturated square ties its blocks in every component
+    pixels = gen_texture(80, 72, seed=2).pixels
+    pixels[10:50, 20:60] = 255.0
+    img = GrayImage(pixels)
+    return img, learn_background_model(img)
+
+
+@pytest.mark.parametrize("count", [80, 82])
+def test_monte_carlo_rejects_wrong_cdf_count(saturated_model, count):
+    img, model = saturated_model
+    cdfs = (model.cdfs * 2)[:count]
+    with pytest.raises(DimensionMismatch):
+        monte_carlo_false_alarms(img, BackgroundModel(model.basis, cdfs),
+                                 AcbmParams(search_radius=2), trials=1)
+
+
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
     basis, cdfs = model.basis, model.cdfs
@@ -221,4 +239,21 @@ def test_monte_carlo_banded_equals_unbanded():
     params = AcbmParams(search_radius=2, epsilon=1e6)
     got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
     assert got > 1000   # enough hits that a lost or doubled row would show
+    assert got == unbanded_false_alarms(img, model, params, trials=2, seed=9)
+
+
+@pytest.mark.parametrize("components, levels, epsilon", [
+    (1, 5, 2e4),    # most components test no cell; at 1e6 every cell hits
+    (9, 5, 1e6),
+    (81, 5, 1e6),   # every cell of the candidate table is written
+    (20, 12, 1e6),
+])
+def test_monte_carlo_component_groups_equal_unbanded(saturated_model,
+                                                     components, levels,
+                                                     epsilon):
+    img, model = saturated_model
+    params = AcbmParams(search_radius=2, epsilon=epsilon,
+                        num_components=components, num_levels=levels)
+    got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
+    assert 0 < got < 5 * 64 * 72   # the threshold passes some cells, not all
     assert got == unbanded_false_alarms(img, model, params, trials=2, seed=9)
