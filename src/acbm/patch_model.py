@@ -154,9 +154,11 @@ def compute_patch_basis(image: GrayImage, block_side: int) -> PatchBasis:
     if blocks.shape[0] < s:
         raise ImageTooSmall(f"need at least {s} complete blocks, got "
                             f"{blocks.shape[0]}")
+    if np.may_share_memory(blocks, image.pixels):
+        blocks = blocks.copy()  # a one-column interior reshapes to a view
     mean = blocks.mean(axis=0)
-    centered = blocks - mean
-    cov = centered.T @ centered / blocks.shape[0]
+    blocks -= mean  # centered in place: the only (n, s) table
+    cov = blocks.T @ blocks / blocks.shape[0]
     cov = (cov + cov.T) * 0.5
     eigenvalues, vectors = jacobi_eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")
@@ -180,61 +182,56 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
     return coeffs[0] if single else coeffs
 
 
-def project_image(basis: PatchBasis, image: GrayImage) -> np.ndarray:
-    """Coefficients of every complete block of the image, an (n, s) matrix
-    in interior_blocks order, projected in row bands on the band pool into
-    one table."""
-    hi, wi = interior_shape(image, basis.block_side)
-    table = np.empty((hi, wi, basis.size))
+def training_ranks(basis: PatchBasis,
+                   image: GrayImage) -> tuple[list[ComponentCDF], np.ndarray]:
+    """Empirical CDF of each component over every complete block of the
+    image, and every block's own CDF values as integer ranks.
 
-    def band(rows):
-        table[rows] = project(
-            basis, interior_blocks(image, basis.block_side, rows)
-        ).reshape(-1, wi, basis.size)
-
-    bands.run_bands(band, hi)
-    return table.reshape(hi * wi, basis.size)
-
-
-def training_cdfs(coeffs: np.ndarray) -> list[ComponentCDF]:
-    """Empirical CDF of each column of an (n, s) coefficient matrix.
-
-    Overwrites coeffs in place with the CDF values of its own entries, which
-    equal cdf_eval(cdf, column) bit for bit: a training value's CDF value is
-    its last-occurrence rank over n, so one sort per column serves both the
-    CDF and the values.  Columns are sorted on the band pool; the sorted
-    values of all columns share one (s, n) block.
+    Returns (cdfs, ranks).  ranks is an (m, s) table in interior_blocks
+    order, of the smallest unsigned type that holds m; ranks / m equals
+    cdf_eval(cdf, value) bit for bit at every training value, because a
+    training value's CDF value is its last-occurrence rank over m.  The
+    image is projected in row bands straight into the (s, m) block of
+    sorted values; one pool task per component then sorts its row in place.
     """
-    m, s = coeffs.shape
+    side = basis.block_side
+    hi, wi = interior_shape(image, side)
+    m, s = hi * wi, basis.size
+    if m < 2:
+        raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
     # allocated here, not in the tasks: memory that a worker thread
     # allocates and that outlives its task stays in that thread's arena
     sorted_values = np.empty((s, m))
+    ranks = np.empty((m, s), dtype=np.min_scalar_type(m))
 
-    def column(i):
-        values = coeffs[:, i].copy()
-        perm = np.argsort(values)
+    def band(rows):
+        sorted_values[:, rows.start * wi:rows.stop * wi] = project(
+            basis, interior_blocks(image, side, rows)).T
+
+    def component(i):
         sv = sorted_values[i]
-        np.take(values, perm, out=sv)
+        perm = np.argsort(sv)
+        sv[:] = sv[perm]
         # last-occurrence rank of sv[k]: one past the end of its run of ties
         run_end = np.empty(m, dtype=bool)
         run_end[-1] = True
         np.not_equal(sv[1:], sv[:-1], out=run_end[:-1])
         ends = np.flatnonzero(run_end) + 1
-        values[perm] = np.repeat(ends, np.diff(ends, prepend=0)) / m
-        coeffs[:, i] = values
+        column = np.empty(m, dtype=ranks.dtype)
+        column[perm] = np.repeat(ends, np.diff(ends, prepend=0))
+        ranks[:, i] = column
 
-    bands.run_parallel(column, range(s))
-    return [ComponentCDF(component_index=i + 1, sorted_values=sorted_values[i])
+    bands.run_bands(band, hi)
+    bands.run_parallel(component, range(s))
+    cdfs = [ComponentCDF(component_index=i + 1, sorted_values=sorted_values[i])
             for i in range(s)]
+    return cdfs, ranks
 
 
 def build_component_cdfs(image: GrayImage, basis: PatchBasis) -> list[ComponentCDF]:
     """Empirical CDFs of each component's coefficients over all complete
     blocks of the image."""
-    hi, wi = interior_shape(image, basis.block_side)
-    if hi * wi < 2:
-        raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
-    return training_cdfs(project_image(basis, image))
+    return training_ranks(basis, image)[0]
 
 
 def cdf_eval(cdf: ComponentCDF, value):
@@ -344,6 +341,8 @@ def load_basis(path) -> PatchBasis:
     if len(buf) < offset + need * 8:
         raise TruncatedData(f"{path}: expected {need} float64 values")
     data = np.frombuffer(buf, dtype="<f8", count=need, offset=offset)
+    if not np.isfinite(data).all():
+        raise CorruptHeader(f"{path}: basis values not finite")
     mean = data[:s].copy()
     vectors = data[s:s + s * s].reshape(s, s).copy()
     eigenvalues = data[s + s * s:].copy()

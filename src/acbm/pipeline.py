@@ -54,13 +54,15 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
                      cdfs, num_components: int):
     """Per interior pixel (row-major grid): indices of the num_components
     locally dominant components and the background CDF values of the
-    reference coefficients there.  Returns (order, h_ref) of shape (n, N).
-    Row bands run on the band pool and fill the two tables."""
+    reference coefficients there.  Returns (order, h_ref) of shape (n, N),
+    order in the smallest unsigned type that holds s - 1.  Row bands run on
+    the band pool and fill the two tables."""
     if len(cdfs) != basis.size:
         raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
     side = basis.block_side
     hi, wi = patch_model.interior_shape(image, side)
-    order = np.empty((hi * wi, num_components), dtype=np.intp)
+    order = np.empty((hi * wi, num_components),
+                     dtype=np.min_scalar_type(basis.size - 1))
     h_ref = np.empty((hi * wi, num_components))
 
     def band(rows):
@@ -68,10 +70,10 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
         coeffs = patch_model.project(
             basis, patch_model.interior_blocks(image, side, rows))
         order[cells] = core.top_components(coeffs, num_components)
-        h = np.empty_like(coeffs)
+        # the chosen components are known: CDF values replace coefficients
         for i, cdf in enumerate(cdfs):
-            h[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
-        h_ref[cells] = np.take_along_axis(h, order[cells], axis=1)
+            coeffs[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
+        h_ref[cells] = np.take_along_axis(coeffs, order[cells], axis=1)
 
     bands.run_bands(band, hi)
     return order, h_ref
@@ -114,9 +116,7 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"params block side {side}")
 
-    # the coefficient matrix is overwritten with its own CDF values
-    h_sec = patch_model.project_image(basis, secondary)
-    cdfs = patch_model.training_cdfs(h_sec)
+    cdfs, ranks = patch_model.training_ranks(basis, secondary)
 
     order, hq = reference_tables(reference, basis, cdfs,
                                  params.num_components)
@@ -126,7 +126,8 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
     wi_s = secondary.width - side + 1
     ord3 = order.reshape(hi, wi_r, params.num_components)
     hq3 = hq.reshape(hi, wi_r, params.num_components)
-    hs3 = h_sec.reshape(hi, wi_s, basis.size)
+    m = ranks.shape[0]
+    ranks3 = ranks.reshape(hi, wi_s, basis.size)
     n_test = core.number_of_tests(reference.width * reference.height, params)
 
     by_ssd = mode is MatchMode.SS_ONLY
@@ -140,8 +141,9 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
 
     def scan_band(rows, d, lo, hi_col, cross_d):
         cells = np.s_[rows, lo:hi_col]
-        hqp = np.take_along_axis(hs3[rows, lo + d:hi_col + d, :],
-                                 ord3[cells], axis=2)
+        # a secondary block's CDF value is its rank over m
+        hqp = np.take_along_axis(ranks3[rows, lo + d:hi_col + d, :],
+                                 ord3[cells], axis=2) / m
         nfa_d = candidate_nfa_block(hq3[cells], hqp, n_test,
                                     params.num_levels)
         cross = cross_d[cells] if need_cross else None

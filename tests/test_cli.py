@@ -1,4 +1,6 @@
 """Command-line interface: wiring, outputs, exit codes, determinism."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,9 @@ def test_synth_noise_deterministic(tmp_path):
     args = ["synth-noise", "--width", "32", "--height", "24", "--seed", "3",
             "--out-left", a, "--out-right", b]
     assert main(args) == 0
-    first = (open(a, "rb").read(), open(b, "rb").read())
+    first = (Path(a).read_bytes(), Path(b).read_bytes())
     assert main(args) == 0
-    assert (open(a, "rb").read(), open(b, "rb").read()) == first
+    assert (Path(a).read_bytes(), Path(b).read_bytes()) == first
     img = load_gray(a)
     assert img.pixels.shape == (24, 32)
 
@@ -67,14 +69,14 @@ def test_match_and_eval_round_trip(shift_pair, tmp_path, capsys):
             "--range", "2", "--block", "5", "--components", "5",
             "--out", out, "--viz", viz]
     assert main(args) == 0
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     dmap = load_disparity(out)
     assert (dmap.disparity[dmap.accepted] == 1).mean() > 0.9
     assert load_gray(viz).pixels.shape == (32, 48)
 
     # reruns are byte-identical
     assert main(args) == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
     capsys.readouterr()
     assert main(["eval", out, shift_pair["gt.tsv"]]) == 0
@@ -108,6 +110,17 @@ def test_match_with_saved_basis(shift_pair, tmp_path):
     assert main(["match", shift_pair["left.pgm"], shift_pair["right.pgm"],
                  "--range", "2", "--block", "9",
                  "--basis", basis_path, "--out", out]) == 3
+
+
+def test_corrupt_basis_exits_2(shift_pair, tmp_path):
+    basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
+    basis.mean_block[3] = np.nan
+    basis_path = str(tmp_path / "nan.basis")
+    save_basis(basis, basis_path)
+    assert main(["match", shift_pair["left.pgm"], shift_pair["right.pgm"],
+                 "--range", "2", "--block", "5", "--components", "5",
+                 "--basis", basis_path,
+                 "--out", str(tmp_path / "d.tsv")]) == 2
 
 
 def test_mc_nfa_stdout(tmp_path, capsys):

@@ -26,7 +26,7 @@ from acbm.patch_model import (
     sample_background_block,
     sample_coefficients,
     save_basis,
-    training_cdfs,
+    training_ranks,
 )
 
 
@@ -34,6 +34,15 @@ from acbm.patch_model import (
 def texture_model():
     img = gen_texture(96, 96, seed=5)
     return img, learn_background_model(img)
+
+
+def saturated_square(side, lo=20, hi=80):
+    """Texture with the square [lo, hi)^2 saturated; by default 96x96 with
+    about 35% of the 9x9 blocks identical, so every component has a large
+    run of ties."""
+    pixels = gen_texture(side, side, seed=6).pixels.copy()
+    pixels[lo:hi, lo:hi] = 255.0
+    return GrayImage(pixels)
 
 
 def ramp_image(width=12, height=12):
@@ -131,6 +140,36 @@ def test_basis_needs_enough_blocks():
         compute_patch_basis(GrayImage(np.zeros((4, 4))), 3)
     # 5x5 admits exactly 9 complete 3x3 blocks, the minimum
     compute_patch_basis(GrayImage(np.arange(25, dtype=float).reshape(5, 5)), 3)
+
+
+def two_table_basis(image, side):
+    """The block copy and a second, centered copy, as the basis was first
+    written: the one-table version must give the same bytes."""
+    blocks = interior_blocks(image, side)
+    mean = blocks.mean(axis=0)
+    centered = blocks - mean
+    cov = centered.T @ centered / blocks.shape[0]
+    cov = (cov + cov.T) * 0.5
+    values, vectors = jacobi_eigh(cov)
+    order = np.argsort(-values, kind="stable")
+    return mean, vectors[:, order].T.copy(), np.maximum(values[order], 0.0)
+
+
+@pytest.mark.parametrize("image, side", [
+    (saturated_square(96), 9),
+    (GrayImage(np.full((40, 40), 90.0)), 9),
+    (gen_texture(61, 23, seed=2), 5),
+    # one interior column: the blocks are a view of the image's own rows
+    (gen_texture(9, 120, seed=3), 9),
+], ids=["saturated", "constant", "non-square", "one-column"])
+def test_basis_equals_two_table_oracle(image, side):
+    pixels = image.pixels.copy()
+    basis = compute_patch_basis(image, side)
+    mean, vectors, values = two_table_basis(image, side)
+    assert basis.mean_block.tobytes() == mean.tobytes()
+    assert basis.eigenvectors.tobytes() == vectors.tobytes()
+    assert basis.eigenvalues.tobytes() == values.tobytes()
+    assert image.pixels.tobytes() == pixels.tobytes()
 
 
 def test_basis_eigenvalues_sorted_and_nonnegative(texture_model):
@@ -265,29 +304,35 @@ def test_cdf_vector_matches_scalar():
                                         for x in probes.ravel()]
 
 
-def saturated_texture():
-    """96x96 texture with a saturated 60x60 square: about 35% of the 9x9
-    blocks are identical, so every component has a large run of ties."""
-    pixels = gen_texture(96, 96, seed=6).pixels.copy()
-    pixels[20:80, 20:80] = 255.0
-    return GrayImage(pixels)
-
-
-@pytest.mark.parametrize("image", [saturated_texture(),
-                                   GrayImage(np.full((40, 40), 90.0))],
-                         ids=["saturated", "constant"])
-def test_training_cdfs_match_cdf_eval(image):
-    basis = compute_patch_basis(saturated_texture(), 9)
+@pytest.mark.parametrize("image, dtype", [
+    (saturated_square(96), np.uint16),
+    (GrayImage(np.full((40, 40), 90.0)), np.uint16),
+    (saturated_square(23, 2, 21), np.uint8),        # 225 blocks
+    (saturated_square(264, 20, 244), np.uint32),     # 65536 blocks
+], ids=["saturated", "constant", "uint8", "uint32"])
+def test_training_ranks_match_cdf_eval(image, dtype):
+    basis = compute_patch_basis(saturated_square(96), 9)
     coeffs = project(basis, interior_blocks(image, 9))
-    values = coeffs.copy()
-    cdfs = training_cdfs(values)
+    m = coeffs.shape[0]
+    cdfs, ranks = training_ranks(basis, image)
     assert len(cdfs) == 81
+    assert ranks.shape == (m, 81) and ranks.dtype == dtype
     for i, cdf in enumerate(cdfs):
         column = coeffs[:, i]
         assert np.unique(column).size < 0.7 * column.size
         assert cdf.component_index == i + 1
         assert np.array_equal(cdf.sorted_values, np.sort(column))
-        assert values[:, i].tobytes() == cdf_eval(cdf, column).tobytes(), i
+        assert (ranks[:, i] / m).tobytes() == \
+            cdf_eval(cdf, column).tobytes(), i
+
+
+def test_training_ranks_need_two_blocks():
+    basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
+    with pytest.raises(ImageTooSmall):
+        training_ranks(basis, gen_texture(5, 5, seed=2))
+    cdfs, ranks = training_ranks(basis, gen_texture(6, 5, seed=2))
+    assert ranks.shape == (2, 25)
+    assert all(cdf.sorted_values.size == 2 for cdf in cdfs)
 
 
 def test_build_cdfs_counts(texture_model):
@@ -389,6 +434,22 @@ def test_basis_truncated(tmp_path, texture_model):
         path.write_bytes(whole[:cut])
         with pytest.raises(TruncatedData):
             load_basis(path)
+
+
+@pytest.mark.parametrize("part", ["mean", "eigenvectors", "eigenvalues"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_basis_not_finite(tmp_path, part, bad):
+    basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
+    if part == "mean":
+        basis.mean_block[3] = bad
+    elif part == "eigenvectors":
+        basis.eigenvectors[2, 7] = bad
+    else:
+        basis.eigenvalues[0] = bad  # +inf first still reads as sorted
+    path = tmp_path / "bad.basis"
+    save_basis(basis, path)
+    with pytest.raises(CorruptHeader):
+        load_basis(path)
 
 
 def test_basis_inconsistent_header(tmp_path):

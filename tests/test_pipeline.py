@@ -1,17 +1,19 @@
 """Dense matcher, single-pixel path, densify pass."""
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
                   match_pair, match_pixel)
-from acbm.errors import BorderPixel, DimensionMismatch, HeightMismatch
+from acbm.errors import (BorderPixel, DimensionMismatch, HeightMismatch,
+                         ImageTooSmall)
 from acbm.imgio import CellState, DisparityMap, GrayImage
 from acbm.patch_model import (PatchBasis, cdf_eval, compute_patch_basis,
                                interior_blocks, learn_background_model,
-                               project, training_cdfs)
+                               project, training_ranks)
 from acbm.pipeline import (candidate_nfa_block, reference_tables,
                            scan_candidates)
 from acbm.validation import gen_texture, gen_translated_pair
@@ -213,11 +215,12 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         # identity basis: a coefficient is a pixel value, so the blocks of
         # the saturated square tie in every component
         basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
-    cdfs = training_cdfs(project(basis, interior_blocks(sec, 5)))
+    cdfs, _ = training_ranks(basis, sec)
     for count in (5, 9, 25):
         order, h_ref = reference_tables(ref, basis, cdfs, count)
         want_order, want_h = oracle_reference_tables(ref, basis, cdfs, count)
         assert order.shape == want_order.shape == (86 * 44, count)
+        assert order.dtype == np.uint8
         assert np.array_equal(order, want_order)
         assert h_ref.tobytes() == want_h.tobytes()
 
@@ -282,6 +285,74 @@ def test_candidate_nfa_block_matches_float_product(num_levels):
         got = candidate_nfa_block(hq, hqp, n_test, num_levels)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_match_pixel_agrees_at_block_17():
+    # 289 components: the component indices need uint16
+    # noise under an identity basis, so that components past index 255 are
+    # among the dominant ones; period-2 stripes below are self-similar.
+    # Integer samples keep the summed-area SSD sums exact, so the batch
+    # self-similarity veto reads the same SSDs as the direct one
+    pixels = np.random.default_rng(12).integers(0, 256, (48, 44)) * 1.0
+    pixels[24:] = np.where(np.arange(44) % 2, 255.0, 0.0)
+    ref = GrayImage(pixels)
+    sec = GrayImage(np.roll(pixels, 2, axis=1))
+    params = AcbmParams(search_radius=3, block_side=17, num_components=12)
+    basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
+    model = learn_background_model(sec, 17, basis=basis)
+    order, _ = reference_tables(ref, basis, model.cdfs, 12)
+    assert order.dtype == np.uint16 and order.max() > 255
+    probes = [(x, y) for y in (8, 28, 39) for x in range(8, 36, 3)]
+    states = set()
+    for mode in MatchMode:
+        dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+        for q in probes:
+            got = match_pixel(q, model, params, ref, sec, mode=mode)
+            x, y = q
+            states.add(got.state)
+            assert got.state == dense.state[y, x], (mode, q)
+            if got.state == CellState.ACCEPTED:
+                assert got.disparity == dense.disparity[y, x], (mode, q)
+                assert got.nfa == dense.nfa[y, x], (mode, q)
+    assert len(states) == 3
+
+
+def test_one_block_secondary_is_too_small():
+    # a 5x5 secondary at block side 5 has a single block: no CDF can be
+    # learned from it, with or without a given basis
+    ref = gen_texture(5, 5, seed=3)
+    sec = gen_texture(5, 5, seed=4)
+    params = AcbmParams(search_radius=1, block_side=5, num_components=5)
+    basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
+    with pytest.raises(ImageTooSmall):
+        match_pair(ref, sec, params, basis=basis)
+    with pytest.raises(ImageTooSmall):
+        learn_background_model(sec, 5)
+
+
+def test_match_pair_memory_bound(monkeypatch):
+    """tracemalloc peaks of the two phases of a 192x192 match_pair, run on
+    the calling thread so that they do not depend on the core count.
+    Basis: one (n, s) float64 table, 22 MB (two tables took 44 MB).  Model
+    and scan: sorted values, integer ranks and the band tables, 44 MB (a
+    float CDF-value table in place of the ranks took 63 MB)."""
+    monkeypatch.setattr(bands, "run_parallel",
+                        lambda task, items: [task(item) for item in items])
+    ref = gen_texture(192, 192, seed=7)
+    sec = GrayImage(np.roll(ref.pixels, 2, axis=1))
+    params = AcbmParams(search_radius=5)
+    tracemalloc.start()
+    try:
+        basis = compute_patch_basis(sec, 9)
+        basis_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dmap = match_pair(ref, sec, params, basis=basis)
+        match_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dmap.accepted.any()
+    assert basis_peak < 33e6
+    assert match_peak < 53e6
 
 
 def test_match_pixel_no_candidates():
