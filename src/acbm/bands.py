@@ -7,18 +7,28 @@ band task writes its own rows of arrays that the calling thread allocated,
 so results depend neither on the band height nor on the number of threads.
 
 The pool has one worker per CPU.  Its threads start on the first task, not
-at import.  A band task must not submit work to the pool itself: a task that
-waits on the pool it runs on can deadlock.
+at import.  A band task must not submit work to the pool itself: once every
+worker waits on the pool it runs on, none is left to run the work, so
+run_parallel raises RuntimeError when called from a pool worker.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 BAND_ROWS = 32
 
+_IN_POOL = threading.local()
+
+
+def _mark_worker() -> None:
+    _IN_POOL.worker = True
+
+
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                           thread_name_prefix="acbm-band")
+                           thread_name_prefix="acbm-band",
+                           initializer=_mark_worker)
 
 
 def row_bands(rows: int) -> list[slice]:
@@ -31,7 +41,10 @@ def row_bands(rows: int) -> list[slice]:
 def run_parallel(task, items) -> list:
     """task(item) for every item on the pool, results in item order.  Waits
     for every task before raising the first error, so no task still writes
-    into the caller's arrays once this returns or raises."""
+    into the caller's arrays once this returns or raises.  Raises
+    RuntimeError when called from a pool worker."""
+    if getattr(_IN_POOL, "worker", False):
+        raise RuntimeError("a band task cannot submit work to the band pool")
     futures = [_POOL.submit(task, item) for item in items]
     wait(futures)
     return [f.result() for f in futures]

@@ -121,13 +121,23 @@ def resemblance_probability(h_q, h_qp):
     Both arguments are CDF values in [0, 1]; the reference value h_q splits
     the unit interval into a central band (two-sided distance) and two outer
     tails.  Accepts scalars or same-shape arrays.
+
+    The three cases exclude each other, so the value is a sum of three
+    masked terms of which at most one is non-zero: x * 1.0 == x and
+    x * 0.0 == 0.0, so the sum equals the selected term exactly, without
+    a data-dependent branch per element.
     """
     a = np.asarray(h_q, dtype=np.float64)
     b = np.asarray(h_qp, dtype=np.float64)
     scalar = a.ndim == 0 and b.ndim == 0
     diff = b - a
-    p = np.where(diff > a, b,
-                 np.where(-diff > 1.0 - a, 1.0 - b, 2.0 * np.abs(diff)))
+    upper = diff > a            # b above 2a: upper tail
+    lower = diff < a - 1.0      # b below 2a - 1: lower tail
+    p = np.abs(diff)
+    p *= 2.0
+    p *= ~(upper | lower)
+    p += b * upper
+    p += (1.0 - b) * lower
     p = np.clip(p, 0.0, 1.0)
     return float(p) if scalar else p
 

@@ -13,7 +13,6 @@ one pixel at a time and is the readable reference.  Both are deterministic.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,62 +116,67 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
                                 f"params block side {side}")
 
     cdfs, ranks = patch_model.training_ranks(basis, secondary)
-
     order, hq = reference_tables(reference, basis, cdfs,
                                  params.num_components)
+    del cdfs    # the scan reads the secondary's ranks only
 
     hi = reference.height - side + 1
     wi_r = reference.width - side + 1
     wi_s = secondary.width - side + 1
+    s = basis.size
     ord3 = order.reshape(hi, wi_r, params.num_components)
     hq3 = hq.reshape(hi, wi_r, params.num_components)
     m = ranks.shape[0]
-    ranks3 = ranks.reshape(hi, wi_s, basis.size)
+    flat_ranks = ranks.reshape(-1)
     n_test = core.number_of_tests(reference.width * reference.height, params)
+
+    # (d, first column, end column) of every disparity with a candidate
+    # block inside the secondary image, in candidate order
+    spans = [(d, max(0, -d), min(wi_r, wi_s - d))
+             for d in params.candidate_order()]
+    spans = [span for span in spans if span[1] < span[2]]
+    has_candidate = np.zeros(wi_r, dtype=bool)
+    for _, lo, hi_col in spans:
+        has_candidate[lo:hi_col] = True
 
     by_ssd = mode is MatchMode.SS_ONLY
     need_cross = mode is not MatchMode.ACBM_ONLY
 
-    best_metric = np.full((hi, wi_r), np.inf)
     best_nfa = np.full((hi, wi_r), np.inf)
     best_cross = np.full((hi, wi_r), np.inf)
     best_d = np.zeros((hi, wi_r), dtype=np.int32)
-    has_candidate = np.zeros((hi, wi_r), dtype=bool)
+    ss_ok = np.zeros((hi, wi_r), dtype=bool)
 
-    def scan_band(rows, d, lo, hi_col, cross_d):
-        cells = np.s_[rows, lo:hi_col]
-        # a secondary block's CDF value is its rank over m
-        hqp = np.take_along_axis(ranks3[rows, lo + d:hi_col + d, :],
-                                 ord3[cells], axis=2) / m
-        nfa_d = candidate_nfa_block(hq3[cells], hqp, n_test,
-                                    params.num_levels)
-        cross = cross_d[cells] if need_cross else None
-        metric_d = cross if by_ssd else nfa_d
-        upd = metric_d < best_metric[cells]
-        best_metric[cells][upd] = metric_d[upd]
-        best_nfa[cells][upd] = nfa_d[upd]
-        best_d[cells][upd] = d
+    def scan_band(rows):
+        # every pixel of the band sees the disparities in candidate order;
+        # a strictly smaller metric replaces the best so far
+        band_nfa, band_cross = best_nfa[rows], best_cross[rows]
+        band_d = best_d[rows]
+        band_metric = band_cross if by_ssd else band_nfa
+        # flat index of (secondary block at disparity 0, component) in
+        # ranks; disparity d adds d * s
+        y = np.arange(rows.start, rows.stop)[:, None, None]
+        x = np.arange(wi_r)[None, :, None]
+        at_zero = (y * wi_s + x) * s + ord3[rows]
+        hq_band = hq3[rows]
+        for d, lo, hi_col in spans:
+            # a secondary block's CDF value is its rank over m
+            hqp = np.take(flat_ranks, at_zero[:, lo:hi_col] + d * s) / m
+            nfa_d = candidate_nfa_block(hq_band[:, lo:hi_col], hqp, n_test,
+                                        params.num_levels)
+            if need_cross:
+                cross = self_sim.aligned_ssd_map(
+                    reference, secondary, d, side, rows)[:, lo:hi_col]
+            upd = (cross if by_ssd else nfa_d) < band_metric[:, lo:hi_col]
+            np.copyto(band_nfa[:, lo:hi_col], nfa_d, where=upd)
+            np.copyto(band_d[:, lo:hi_col], d, where=upd)
+            if need_cross:
+                np.copyto(band_cross[:, lo:hi_col], cross, where=upd)
         if need_cross:
-            best_cross[cells][upd] = cross[upd]
+            ss_ok[rows] = band_cross < self_sim.min_self_ssd_map(
+                reference, params.search_radius, side, rows)
 
-    # every pixel sees the disparities in candidate order, one band at a
-    # time; the summed-area SSD maps stay whole-image so that their sums
-    # do not depend on the bands
-    for d in params.candidate_order():
-        lo = max(0, -d)
-        hi_col = min(wi_r, wi_s - d)
-        if lo >= hi_col:
-            continue
-        cross_d = (self_sim.aligned_ssd_map(reference, secondary, d, side)
-                   if need_cross else None)
-        bands.run_bands(functools.partial(scan_band, d=d, lo=lo,
-                                          hi_col=hi_col, cross_d=cross_d), hi)
-        has_candidate[:, lo:hi_col] = True
-
-    if need_cross:
-        min_self = self_sim.min_self_ssd_map(reference, params.search_radius,
-                                             side)
-        ss_ok = best_cross < min_self
+    bands.run_bands(scan_band, hi)
 
     state_in = np.full((hi, wi_r), CellState.NOT_MEANINGFUL, dtype=np.uint8)
     if mode is MatchMode.SS_ONLY:

@@ -8,12 +8,14 @@ almost entirely).  Periodic or flat neighborhoods therefore reject; when no
 neighbor block fits inside the image the minimum is vacuous (+inf) and the
 candidate is kept.
 
-The map helpers compute the same distances for every pixel at once through
-summed-area tables; sums are exact for integer-valued images, so they agree
-bit for bit with direct summation there.
+The map helpers compute the same distances for every pixel of a range of
+interior rows at once.  Every block's sum of squares is taken in one fixed
+order (window_sums), also by ssd, so a map cell equals the direct distance
+bit for bit on every input, whatever rows the map covers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +35,17 @@ class SsContext:
 
 
 def ssd(a, b) -> float:
-    """Sum of squared differences between two flattened blocks."""
+    """Sum of squared differences between two flattened square blocks,
+    summed in window_sums order."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise DimensionMismatch(f"shapes {av.shape} and {bv.shape} differ")
-    d = av - bv
-    return float(np.dot(d, d))
+    side = math.isqrt(av.size)
+    if side == 0 or side * side != av.size:
+        raise DimensionMismatch(f"{av.size} samples are not a square block")
+    squares = ((av - bv) ** 2).reshape(side, side)
+    return float(window_sums(squares, side)[0, 0])
 
 
 def min_neighbor_ssd(ctx: SsContext, q: tuple[int, int]) -> float:
@@ -67,43 +73,65 @@ def self_similarity_accept(ctx: SsContext, q: tuple[int, int],
 
 
 def box_sum(values: np.ndarray, side: int) -> np.ndarray:
-    """Sliding side x side window sums, output (h-side+1, w-side+1)."""
+    """Sliding side x side window sums, output (h-side+1, w-side+1), as
+    differences of a whole-array summed-area table: fast, but a window's
+    rounding depends on where the array starts.  The texture generator
+    uses it; the distances use window_sums."""
     c = np.cumsum(np.cumsum(values, axis=0, dtype=np.float64), axis=1)
     c = np.pad(c, ((1, 0), (1, 0)))
     return (c[side:, side:] - c[:-side, side:]
             - c[side:, :-side] + c[:-side, :-side])
 
 
+def window_sums(values: np.ndarray, side: int) -> np.ndarray:
+    """Sliding side x side window sums of a float64 array, output
+    (h-side+1, w-side+1).  Every window is summed in the same order: each
+    of its rows left to right, then the row sums top to bottom.  A window's
+    sum therefore depends only on its own values, not on its position."""
+    h, w = values.shape
+    rows = values[:, :w - side + 1].copy()
+    for k in range(1, side):
+        rows += values[:, k:w - side + 1 + k]
+    out = rows[:h - side + 1].copy()
+    for k in range(1, side):
+        out += rows[k:h - side + 1 + k]
+    return out
+
+
 def aligned_ssd_map(img_a: GrayImage, img_b: GrayImage, shift: int,
-                    block_side: int) -> np.ndarray:
+                    block_side: int, rows: slice = slice(None)) -> np.ndarray:
     """Block SSD between (x, y) in img_a and (x+shift, y) in img_b for every
-    interior pixel of img_a, indexed on img_a's interior grid; +inf where the
-    shifted block does not fit inside img_b."""
-    half = block_side // 2
+    interior pixel of img_a in the interior rows `rows` (default: all),
+    indexed on img_a's interior grid; +inf where the shifted block does not
+    fit inside img_b."""
     hi = img_a.height - block_side + 1
     wi_a = img_a.width - block_side + 1
     wi_b = img_b.width - block_side + 1
-    out = np.full((hi, wi_a), np.inf)
+    r0, r1, _ = rows.indices(max(hi, 0))
+    out = np.full((max(r1 - r0, 0), wi_a), np.inf)
     lo = max(0, -shift)
     hi_col = min(wi_a, wi_b - shift)
-    if lo >= hi_col or hi < 1:
+    if lo >= hi_col or r1 <= r0:
         return out
-    # interior col c maps to image col c + half; aligned strips share rows
-    a = img_a.pixels[:, lo:hi_col + block_side - 1]
-    b = img_b.pixels[:, lo + shift:hi_col + shift + block_side - 1]
-    out[:, lo:hi_col] = box_sum((a - b) ** 2, block_side)
+    # interior (row, col) maps to image (row + half, col + half)
+    span = np.s_[r0:r1 + block_side - 1]
+    a = img_a.pixels[span, lo:hi_col + block_side - 1]
+    b = img_b.pixels[span, lo + shift:hi_col + shift + block_side - 1]
+    out[:, lo:hi_col] = window_sums((a - b) ** 2, block_side)
     return out
 
 
 def min_self_ssd_map(image: GrayImage, search_radius: int,
-                     block_side: int) -> np.ndarray:
-    """min_neighbor_ssd evaluated on the whole interior grid."""
+                     block_side: int, rows: slice = slice(None)) -> np.ndarray:
+    """min_neighbor_ssd evaluated on the interior rows `rows` (default:
+    all) of the interior grid."""
     hi = image.height - block_side + 1
     wi = image.width - block_side + 1
-    best = np.full((hi, wi), np.inf)
+    r0, r1, _ = rows.indices(max(hi, 0))
+    best = np.full((max(r1 - r0, 0), wi), np.inf)
     for dr in range(-search_radius, search_radius + 1):
         if abs(dr) <= 1:
             continue
-        np.minimum(best, aligned_ssd_map(image, image, dr, block_side),
+        np.minimum(best, aligned_ssd_map(image, image, dr, block_side, rows),
                    out=best)
     return best

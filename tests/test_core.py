@@ -170,6 +170,51 @@ def test_resemblance_scalar_and_array_agree():
         assert vec[i] == resemblance_probability(float(a[i]), float(b[i]))
 
 
+def nested_where_resemblance(h_q, h_qp):
+    """The three cases as nested selections: the reference that the
+    masked-sum kernel must equal bit for bit."""
+    a = np.asarray(h_q, dtype=np.float64)
+    b = np.asarray(h_qp, dtype=np.float64)
+    diff = b - a
+    p = np.where(diff > a, b,
+                 np.where(-diff > 1.0 - a, 1.0 - b, 2.0 * np.abs(diff)))
+    return np.clip(p, 0.0, 1.0)
+
+
+def test_resemblance_bits_equal_nested_where():
+    rng = np.random.default_rng(13)
+    a = rng.random(3000)
+    # the case boundaries b = 2a and b = 2a - 1 and their float neighbours
+    edges = [2 * a, 2 * a - 1]
+    near = [np.nextafter(e, toward) for e in edges
+            for toward in (-np.inf, np.inf)]
+    pairs = [(np.tile(a, 6), np.concatenate(edges + near))]
+    # the corners of the unit square and its centre line
+    pairs.append((np.repeat([0.0, 0.5, 1.0], 2), np.tile([0.0, 1.0], 3)))
+    # CDF values as the scan forms them, ranks over the block count m,
+    # with rank-space boundaries 2r and 2r - m
+    for m in (1, 2, 255, 65_535, 97_344, 2**32 - 1):
+        r = rng.integers(0, m + 1, 1000, dtype=np.uint64)
+        rb = np.concatenate([rng.integers(0, m + 1, 1000, dtype=np.uint64),
+                             np.minimum(2 * r, m), np.maximum(2 * r, m) - m])
+        pairs.append((np.tile(r, 3) / m, rb / m))
+    a = np.concatenate([p[0] for p in pairs])
+    b = np.concatenate([p[1] for p in pairs])
+    inside = (b >= 0.0) & (b <= 1.0)
+    a, b = a[inside], b[inside]
+    want = nested_where_resemblance(a, b)
+    assert resemblance_probability(a, b).tobytes() == want.tobytes()
+    # three-dimensional tables, as the scan passes them
+    cut = a.size // 18 * 18
+    assert (resemblance_probability(a[:cut].reshape(-1, 2, 9),
+                                    b[:cut].reshape(-1, 2, 9)).tobytes()
+            == want[:cut].tobytes())
+    for i in rng.choice(a.size, 400, replace=False):
+        got = resemblance_probability(float(a[i]), float(b[i]))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == want[i].tobytes(), (a[i], b[i])
+
+
 # ------------------------------------------------------------ quantization
 
 def test_quantize_levels_are_dyadic():

@@ -182,17 +182,34 @@ def test_match_pixel_agrees_across_band_edges(banded_pair, mode):
     assert CellState.ACCEPTED in states and len(states) > 1
 
 
+@pytest.fixture(scope="module")
+def non_integer_pair():
+    """Non-integer noise above period-2 stripes, shifted by 2: a cross SSD
+    and a self SSD can be sums of the same squares, so their comparison
+    depends on the rounding of every block sum, which must not depend on
+    where a band starts."""
+    pixels = np.random.default_rng(22).normal(128.0, 40.0, (70, 48))
+    pixels[30:] = np.where(np.arange(48) % 2, 200.5, 60.25)
+    ref = GrayImage(pixels)
+    sec = GrayImage(np.roll(pixels, 2, axis=1))
+    params = AcbmParams(search_radius=3, block_side=5)
+    model = learn_background_model(sec, 5)
+    return ref, sec, params, model
+
+
 @pytest.mark.parametrize("band_rows", [1, 7, 1000])
-def test_match_pair_independent_of_band_height(banded_pair, band_rows,
-                                               monkeypatch):
-    ref, sec, params, model = banded_pair
-    expected = {mode: dmap_bytes(match_pair(ref, sec, params,
-                                            basis=model.basis, mode=mode))
-                for mode in MatchMode}
-    monkeypatch.setattr(bands, "BAND_ROWS", band_rows)
-    for mode in MatchMode:
-        got = match_pair(ref, sec, params, basis=model.basis, mode=mode)
-        assert dmap_bytes(got) == expected[mode], mode
+def test_match_pair_independent_of_band_height(banded_pair, non_integer_pair,
+                                               band_rows, monkeypatch):
+    for ref, sec, params, model in (banded_pair, non_integer_pair):
+        expected = {mode: dmap_bytes(match_pair(ref, sec, params,
+                                                basis=model.basis, mode=mode))
+                    for mode in MatchMode}
+        with monkeypatch.context() as patch:
+            patch.setattr(bands, "BAND_ROWS", band_rows)
+            for mode in MatchMode:
+                got = match_pair(ref, sec, params, basis=model.basis,
+                                 mode=mode)
+                assert dmap_bytes(got) == expected[mode], mode
 
 
 def oracle_reference_tables(image, basis, cdfs, num_components):
@@ -291,8 +308,6 @@ def test_match_pixel_agrees_at_block_17():
     # 289 components: the component indices need uint16
     # noise under an identity basis, so that components past index 255 are
     # among the dominant ones; period-2 stripes below are self-similar.
-    # Integer samples keep the summed-area SSD sums exact, so the batch
-    # self-similarity veto reads the same SSDs as the direct one
     pixels = np.random.default_rng(12).integers(0, 256, (48, 44)) * 1.0
     pixels[24:] = np.where(np.arange(44) % 2, 255.0, 0.0)
     ref = GrayImage(pixels)
@@ -315,6 +330,29 @@ def test_match_pixel_agrees_at_block_17():
                 assert got.disparity == dense.disparity[y, x], (mode, q)
                 assert got.nfa == dense.nfa[y, x], (mode, q)
     assert len(states) == 3
+
+
+def test_match_pixel_agrees_on_non_integer_image():
+    # the block-17 scene with non-integer noise: at pixel (20, 28) the NFA
+    # ties for d = -2, 0, 2, and the cross SSD of d = 0 equals the minimal
+    # self SSD in exact arithmetic, so a veto whose sums round differently
+    # from the direct ones decides otherwise there (and at 153 more pixels)
+    pixels = np.random.default_rng(12).normal(128, 40, (48, 44))
+    pixels[24:] = np.where(np.arange(44) % 2, 255.0, 0.0)
+    ref = GrayImage(pixels)
+    sec = GrayImage(np.roll(pixels, 2, axis=1))
+    params = AcbmParams(search_radius=3, block_side=17, num_components=12)
+    basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
+    model = learn_background_model(sec, 17, basis=basis)
+    dense = match_pair(ref, sec, params, basis=basis)
+    assert dense.state[28, 20] == CellState.SELF_SIMILAR
+    for y in range(8, 40):
+        for x in range(8, 36):
+            got = match_pixel((x, y), model, params, ref, sec)
+            assert got.state == dense.state[y, x], (x, y)
+            if got.state == CellState.ACCEPTED:
+                assert got.disparity == dense.disparity[y, x], (x, y)
+                assert got.nfa == dense.nfa[y, x], (x, y)
 
 
 def test_one_block_secondary_is_too_small():

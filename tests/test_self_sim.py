@@ -1,4 +1,4 @@
-"""Self-similarity veto and the summed-area-table SSD maps."""
+"""Self-similarity veto and the SSD maps."""
 import numpy as np
 import pytest
 
@@ -84,30 +84,46 @@ def test_periodic_stripes_reject():
     assert not self_similarity_accept(ctx, (16, 8), 0.0)
 
 
+def non_integer_image(width, height, seed):
+    # sums of squares of these samples round, so they depend on the order
+    # in which the terms are added
+    rng = np.random.default_rng(seed)
+    return GrayImage(rng.normal(100.0, 30.0, (height, width)))
+
+
 def test_aligned_map_matches_direct_blocks():
-    a = gen_texture(20, 14, seed=6)
-    b = gen_texture(23, 14, seed=7)
     side, half = 5, 2
-    for shift in (-3, 0, 2, 6):
-        got = aligned_ssd_map(a, b, shift, side)
-        assert got.shape == (14 - side + 1, 20 - side + 1)
-        for yi in range(got.shape[0]):
-            for xi in range(got.shape[1]):
-                x, y = xi + half, yi + half
-                xs = x + shift
-                if half <= xs < b.width - half:
-                    direct = ssd(extract_block(a, (x, y), side),
-                                 extract_block(b, (xs, y), side))
-                    assert got[yi, xi] == direct, (shift, x, y)
-                else:
-                    assert got[yi, xi] == np.inf
+    pairs = [(gen_texture(20, 14, seed=6), gen_texture(23, 14, seed=7)),
+             (non_integer_image(20, 14, 6), non_integer_image(23, 14, 7))]
+    for a, b in pairs:
+        for shift in (-3, 0, 2, 6):
+            got = aligned_ssd_map(a, b, shift, side)
+            assert got.shape == (14 - side + 1, 20 - side + 1)
+            for yi in range(got.shape[0]):
+                for xi in range(got.shape[1]):
+                    x, y = xi + half, yi + half
+                    xs = x + shift
+                    if half <= xs < b.width - half:
+                        direct = ssd(extract_block(a, (x, y), side),
+                                     extract_block(b, (xs, y), side))
+                        assert got[yi, xi] == direct, (shift, x, y)
+                    else:
+                        assert got[yi, xi] == np.inf
+            # a range of rows gives the same cells as the whole map
+            for rows in (slice(0, 1), slice(3, 7), slice(6, 10)):
+                band = aligned_ssd_map(a, b, shift, side, rows)
+                assert band.tobytes() == got[rows].tobytes(), (shift, rows)
 
 
 def test_min_map_matches_scalar():
-    img = gen_texture(26, 15, seed=8)
     side, half, radius = 5, 2, 4
-    got = min_self_ssd_map(img, radius, side)
-    ctx = SsContext(img, radius, side)
-    for yi in range(got.shape[0]):
-        for xi in range(got.shape[1]):
-            assert got[yi, xi] == min_neighbor_ssd(ctx, (xi + half, yi + half))
+    for img in (gen_texture(26, 15, seed=8), non_integer_image(26, 15, 8)):
+        got = min_self_ssd_map(img, radius, side)
+        ctx = SsContext(img, radius, side)
+        for yi in range(got.shape[0]):
+            for xi in range(got.shape[1]):
+                assert got[yi, xi] == min_neighbor_ssd(ctx,
+                                                       (xi + half, yi + half))
+        for rows in (slice(0, 1), slice(2, 9), slice(10, 11)):
+            band = min_self_ssd_map(img, radius, side, rows)
+            assert band.tobytes() == got[rows].tobytes(), rows
