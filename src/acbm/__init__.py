@@ -1,6 +1,6 @@
 """A contrario block matching for rectified stereo pairs."""
 
-from .core import AcbmParams, QuantizedProbVector
+from .core import AcbmParams
 from .imgio import CellState, DisparityMap, GrayImage
 from .patch_model import (BackgroundModel, ComponentCDF, PatchBasis,
                           learn_background_model, load_basis, save_basis)
@@ -13,10 +13,10 @@ from .validation import (EvalReport, GroundTruth, evaluate, gen_noise_pair,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcbmParams", "QuantizedProbVector", "CellState", "DisparityMap",
-    "GrayImage", "BackgroundModel", "ComponentCDF", "PatchBasis",
-    "learn_background_model", "load_basis", "save_basis", "MatchDecision",
-    "MatchMode", "densify_median", "match_pair", "match_pixel", "EvalReport",
+    "AcbmParams", "CellState", "DisparityMap", "GrayImage",
+    "BackgroundModel", "ComponentCDF", "PatchBasis", "learn_background_model",
+    "load_basis", "save_basis", "MatchDecision", "MatchMode",
+    "densify_median", "match_pair", "match_pixel", "EvalReport",
     "GroundTruth", "evaluate", "gen_noise_pair", "gen_texture",
     "gen_translated_pair", "monte_carlo_false_alarms", "__version__",
 ]

@@ -58,39 +58,10 @@ class AcbmParams:
         return tuple(sorted(range(-r, r + 1), key=lambda d: (abs(d), d)))
 
 
-@dataclass(frozen=True)
-class QuantizedProbVector:
-    """Non-decreasing dyadic probability levels, one per compared component."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("empty quantized vector")
-        prev = 0.0
-        for v in self.values:
-            if not 0.0 < v <= 1.0 or 2.0 ** round(math.log2(v)) != v:
-                raise ValueError(f"{v} is not a dyadic probability level")
-            if v < prev:
-                raise ValueError("levels must be non-decreasing")
-            prev = v
-
-    def probability(self) -> float:
-        return math.prod(self.values)
-
-
-def order_components(coeffs) -> np.ndarray:
-    """Indices of all components sorted by |coefficient| descending; equal
-    magnitudes keep ascending index order."""
-    c = np.abs(np.asarray(coeffs, dtype=np.float64))
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficient vector must be 1-D and non-empty")
-    return np.argsort(-c, kind="stable")
-
-
 def top_components(coeffs: np.ndarray, count: int) -> np.ndarray:
     """Per row of an (n, s) coefficient matrix, the indices of the count
-    largest |coefficients| in order_components order: equal to
+    largest |coefficients|, largest first and equal magnitudes in ascending
+    index order: equal to
     np.argsort(-abs(coeffs), axis=1, kind="stable")[:, :count].
 
     The count-th largest magnitude is found by partitioning; components
@@ -170,15 +141,6 @@ def quantize_array(p_hat: np.ndarray, num_levels: int) -> np.ndarray:
                                  axis=-1)
 
 
-def quantize_sequence(p_hat, num_levels: int) -> QuantizedProbVector:
-    p = np.asarray(p_hat, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability sequence must be 1-D and non-empty")
-    if (p < 0).any() or (p > 1).any():
-        raise ValueError("probabilities must lie in [0, 1]")
-    return QuantizedProbVector(tuple(quantize_array(p, num_levels)))
-
-
 def _binom(m: int, k: int) -> int:
     # conventions: C(m, 0) = 1 down to m = -1, C(m, k) = 0 when m < k
     if k == 0:
@@ -211,13 +173,3 @@ def number_of_tests(num_pixels: int, params: AcbmParams) -> int:
         raise Overflow(f"test count {total} exceeds 64-bit range")
     return total
 
-
-def nfa(n_test: int, quantized) -> float:
-    """Expected number of background candidates at least this similar."""
-    if isinstance(quantized, QuantizedProbVector):
-        return n_test * quantized.probability()
-    return float(n_test * np.prod(np.asarray(quantized, dtype=np.float64)))
-
-
-def is_meaningful(nfa_value: float, epsilon: float) -> bool:
-    return nfa_value <= epsilon

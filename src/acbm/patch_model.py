@@ -228,12 +228,6 @@ def training_ranks(basis: PatchBasis,
     return cdfs, ranks
 
 
-def build_component_cdfs(image: GrayImage, basis: PatchBasis) -> list[ComponentCDF]:
-    """Empirical CDFs of each component's coefficients over all complete
-    blocks of the image."""
-    return training_ranks(basis, image)[0]
-
-
 def cdf_eval(cdf: ComponentCDF, value):
     """Fraction of training values <= value, linearly interpolated between
     adjacent order statistics; ties share the rank of their last occurrence.
@@ -303,7 +297,7 @@ def learn_background_model(image: GrayImage, block_side: int = 9,
     elif basis.block_side != block_side:
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"requested {block_side}")
-    return BackgroundModel(basis=basis, cdfs=build_component_cdfs(image, basis))
+    return BackgroundModel(basis=basis, cdfs=training_ranks(basis, image)[0])
 
 
 def save_basis(basis: PatchBasis, path) -> None:

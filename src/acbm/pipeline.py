@@ -8,8 +8,12 @@ accepts it when the NFA is at most epsilon and the self-similarity veto
 passes.  Pixels whose block leaves the reference image are Border; pixels
 with no candidate block inside the secondary image reject as NotMeaningful.
 
-match_pair is the fast batch path; match_pixel follows the same definitions
-one pixel at a time and is the readable reference.  Both are deterministic.
+match_pair is the fast batch path; match_pixel scores one pixel with the
+same kernels (top_components, candidate_nfa_block, min_self_ssd_map) but
+projects each block on its own, as the test oracle does.  A BLAS product's
+last bits can depend on how many rows it has, so where two candidates' NFAs
+tie closely the two paths can pick different disparities.  Both are
+deterministic.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import bands, core, patch_model, self_sim
-from .core import AcbmParams, QuantizedProbVector
+from .core import AcbmParams
 from .errors import BorderPixel, DimensionMismatch, HeightMismatch
 from .imgio import CellState, DisparityMap, GrayImage
 from .patch_model import BackgroundModel, PatchBasis
@@ -44,7 +48,7 @@ class MatchDecision:
 @dataclass(frozen=True)
 class CandidateScore:
     disparity: int
-    quantized: QuantizedProbVector
+    quantized: tuple[float, ...]
     nfa: float
     cross_ssd: float
 
@@ -205,42 +209,41 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
 def scan_candidates(q: tuple[int, int], model: BackgroundModel,
                     params: AcbmParams, reference: GrayImage,
                     secondary: GrayImage) -> list[CandidateScore]:
-    """Every candidate of pixel q with its quantized vector, NFA and block
-    SSD, in ascending disparity order.  Inspection and testing hook."""
+    """Every candidate of pixel q with its quantized levels, NFA and block
+    SSD, in ascending disparity order.  Each block is projected on its own.
+    Inspection and testing hook."""
     x, y = q
     side = params.block_side
     half = side // 2
     if not (half <= x < reference.width - half
             and half <= y < reference.height - half):
         raise BorderPixel(f"({x}, {y}) has no complete block")
-    basis, cdfs = model.basis, model.cdfs
-    n_test = core.number_of_tests(reference.width * reference.height, params)
+    r = params.search_radius
+    disparities = [d for d in range(-r, r + 1)
+                   if half <= x + d < secondary.width - half]
     block_q = patch_model.extract_block(reference, q, side)
-    coeffs_q = patch_model.project(basis, block_q)
-    order = core.order_components(coeffs_q)[:params.num_components]
-    hq = np.array([patch_model.cdf_eval(cdfs[i], coeffs_q[i]) for i in order])
-    out = []
-    for d in range(-params.search_radius, params.search_radius + 1):
-        xc = x + d
-        if not half <= xc < secondary.width - half:
-            continue
-        block_c = patch_model.extract_block(secondary, (xc, y), side)
-        coeffs_c = patch_model.project(basis, block_c)
-        hqp = np.array([patch_model.cdf_eval(cdfs[i], coeffs_c[i])
-                        for i in order])
-        p = core.resemblance_probability(hq, hqp)
-        quant = core.quantize_sequence(p, params.num_levels)
-        out.append(CandidateScore(disparity=d, quantized=quant,
-                                  nfa=core.nfa(n_test, quant),
-                                  cross_ssd=self_sim.ssd(block_q, block_c)))
-    return out
+    blocks = [patch_model.extract_block(secondary, (x + d, y), side)
+              for d in disparities]
+    coeffs = np.array([patch_model.project(model.basis, b)
+                       for b in [block_q] + blocks])
+    order = core.top_components(coeffs[:1], params.num_components)[0]
+    h = np.stack([patch_model.cdf_eval(model.cdfs[i], coeffs[:, i])
+                  for i in order], axis=1)
+    n_test = core.number_of_tests(reference.width * reference.height, params)
+    levels = core.quantize_array(core.resemblance_probability(h[0], h[1:]),
+                                 params.num_levels)
+    nfas = candidate_nfa_block(h[0], h[1:], n_test, params.num_levels)
+    return [CandidateScore(d, tuple(lv), nfa, self_sim.ssd(block_q, b))
+            for d, lv, nfa, b in zip(disparities, levels.tolist(),
+                                     nfas.tolist(), blocks)]
 
 
 def match_pixel(q: tuple[int, int], model: BackgroundModel,
                 params: AcbmParams, reference: GrayImage,
                 secondary: GrayImage,
                 mode: MatchMode = MatchMode.ACBM_SS) -> MatchDecision:
-    """Single-pixel decision; agrees with the corresponding match_pair cell."""
+    """Single-pixel decision by the rules of match_pair, on scan_candidates'
+    one-block projections (see the module docstring)."""
     if reference.height != secondary.height:
         raise HeightMismatch(f"heights {reference.height} and "
                              f"{secondary.height} differ")
@@ -248,17 +251,17 @@ def match_pixel(q: tuple[int, int], model: BackgroundModel,
     if not scores:
         return MatchDecision(q, CellState.NOT_MEANINGFUL, None, None)
     by_ssd = mode is MatchMode.SS_ONLY
-    best = None
-    for s in sorted(scores, key=lambda s: (abs(s.disparity), s.disparity)):
-        metric = s.cross_ssd if by_ssd else s.nfa
-        if best is None or metric < (best.cross_ssd if by_ssd else best.nfa):
-            best = s
-    if not by_ssd and not core.is_meaningful(best.nfa, params.epsilon):
+    best = min(scores, key=lambda s: (s.cross_ssd if by_ssd else s.nfa,
+                                      abs(s.disparity), s.disparity))
+    if not by_ssd and not best.nfa <= params.epsilon:
         return MatchDecision(q, CellState.NOT_MEANINGFUL, None, None)
     if mode is not MatchMode.ACBM_ONLY:
-        ctx = self_sim.SsContext(reference, params.search_radius,
-                                 params.block_side)
-        if not self_sim.self_similarity_accept(ctx, q, best.cross_ssd):
+        half = params.block_side // 2
+        yi = q[1] - half
+        min_self = self_sim.min_self_ssd_map(
+            reference, params.search_radius, params.block_side,
+            slice(yi, yi + 1))[0, q[0] - half]
+        if not best.cross_ssd < min_self:
             return MatchDecision(q, CellState.SELF_SIMILAR, None, None)
     return MatchDecision(q, CellState.ACCEPTED, best.disparity, best.nfa)
 

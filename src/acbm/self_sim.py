@@ -16,22 +16,11 @@ bit for bit on every input, whatever rows the map covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .imgio import GrayImage
-from .patch_model import extract_block
-
-
-@dataclass(eq=False)
-class SsContext:
-    """Reference image plus the geometry of the neighbor scan."""
-
-    image: GrayImage
-    search_radius: int
-    block_side: int
 
 
 def ssd(a, b) -> float:
@@ -46,30 +35,6 @@ def ssd(a, b) -> float:
         raise DimensionMismatch(f"{av.size} samples are not a square block")
     squares = ((av - bv) ** 2).reshape(side, side)
     return float(window_sums(squares, side)[0, 0])
-
-
-def min_neighbor_ssd(ctx: SsContext, q: tuple[int, int]) -> float:
-    """Smallest distance from the block at q to its same-row neighbor
-    blocks; +inf when no neighbor block fits."""
-    x, y = q
-    half = ctx.block_side // 2
-    block_q = extract_block(ctx.image, q, ctx.block_side)
-    best = np.inf
-    for dr in range(-ctx.search_radius, ctx.search_radius + 1):
-        if abs(dr) <= 1:
-            continue
-        xr = x + dr
-        if not half <= xr < ctx.image.width - half:
-            continue
-        d = ssd(block_q, extract_block(ctx.image, (xr, y), ctx.block_side))
-        best = min(best, d)
-    return best
-
-
-def self_similarity_accept(ctx: SsContext, q: tuple[int, int],
-                           cross_distance: float) -> bool:
-    """True when cross_distance is strictly below every neighbor distance."""
-    return cross_distance < min_neighbor_ssd(ctx, q)
 
 
 def box_sum(values: np.ndarray, side: int) -> np.ndarray:
@@ -123,15 +88,17 @@ def aligned_ssd_map(img_a: GrayImage, img_b: GrayImage, shift: int,
 
 def min_self_ssd_map(image: GrayImage, search_radius: int,
                      block_side: int, rows: slice = slice(None)) -> np.ndarray:
-    """min_neighbor_ssd evaluated on the interior rows `rows` (default:
-    all) of the interior grid."""
+    """Per interior pixel of the interior rows `rows` (default: all), the
+    smallest block SSD to a same-row block at an offset of magnitude 2 to
+    search_radius inside the image; +inf where no such block fits.  The
+    SSD from x to x+dr equals the one from x+dr to x bit for bit, so each
+    map for dr > 0 serves both offsets."""
     hi = image.height - block_side + 1
     wi = image.width - block_side + 1
     r0, r1, _ = rows.indices(max(hi, 0))
     best = np.full((max(r1 - r0, 0), wi), np.inf)
-    for dr in range(-search_radius, search_radius + 1):
-        if abs(dr) <= 1:
-            continue
-        np.minimum(best, aligned_ssd_map(image, image, dr, block_side, rows),
-                   out=best)
+    for dr in range(2, min(search_radius, wi - 1) + 1):
+        dist = aligned_ssd_map(image, image, dr, block_side, rows)[:, :wi - dr]
+        np.minimum(best[:, :wi - dr], dist, out=best[:, :wi - dr])
+        np.minimum(best[:, dr:], dist, out=best[:, dr:])
     return best

@@ -277,7 +277,7 @@ def test_criterion_6_oracle_equivalence():
                 assert len(scores) == len(naive)
                 for s, (d, quant, value) in zip(scores, naive):
                     assert s.disparity == d
-                    assert s.quantized.values == quant, (trial, x, y, d)
+                    assert s.quantized == quant, (trial, x, y, d)
                     assert abs(s.nfa - value) <= 1e-9 * max(s.nfa, value)
                 best = min(naive, key=lambda c: (c[2], abs(c[0]), c[0]))
                 if best[2] <= params.epsilon:

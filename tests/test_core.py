@@ -12,19 +12,15 @@ import pytest
 from acbm import core
 from acbm.core import (
     AcbmParams,
-    QuantizedProbVector,
     count_nondecreasing,
-    is_meaningful,
-    nfa,
     number_of_tests,
-    order_components,
     quantize_array,
     quantize_levels,
-    quantize_sequence,
     resemblance_probability,
     top_components,
 )
 from acbm.errors import Overflow
+from acbm.pipeline import candidate_nfa_block
 
 
 def enumerate_vectors(num_components, num_levels):
@@ -90,6 +86,12 @@ def test_number_of_tests_overflow():
 
 # ---------------------------------------------------------------- ordering
 
+def order_components(coeffs):
+    """All components of one coefficient vector in top_components order."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    return top_components(c[None], c.size)[0]
+
+
 def test_order_components_by_magnitude():
     assert order_components([3.0, -5.0, 1.0]).tolist() == [1, 0, 2]
 
@@ -105,6 +107,10 @@ def test_order_components_sorted_magnitudes():
         c = rng.normal(size=rng.integers(1, 30))
         mags = np.abs(c)[order_components(c)]
         assert (np.diff(mags) <= 0).all()
+        # the partition path keeps the same order for every cut
+        for count in range(1, c.size):
+            assert np.array_equal(top_components(c[None], count)[0],
+                                  order_components(c)[:count])
 
 
 def stable_top(coeffs, count):
@@ -131,11 +137,15 @@ def test_top_components_equals_stable_argsort(count):
 
 
 def test_top_components_matches_order_components():
+    # one row at a time (as the single-pixel matcher calls it) against the
+    # whole table, and both against a per-row stable argsort
     rng = np.random.default_rng(13)
     c = np.round(rng.normal(size=(50, 25)) * 2)
     got = top_components(c, 9)
     for row, idx in zip(c, got):
-        assert idx.tolist() == order_components(row)[:9].tolist()
+        assert idx.tolist() == top_components(row[None], 9)[0].tolist()
+        assert idx.tolist() == np.argsort(-np.abs(row),
+                                          kind="stable")[:9].tolist()
 
 
 # ------------------------------------------------------------- resemblance
@@ -222,16 +232,22 @@ def test_quantize_levels_are_dyadic():
     assert quantize_levels(1).tolist() == [1.0]
 
 
+def quantize(p, num_levels):
+    """quantize_array of one probability vector, as a tuple of floats."""
+    return tuple(quantize_array(np.asarray(p, dtype=np.float64),
+                                num_levels).tolist())
+
+
 def test_quantize_frozen_examples():
-    assert quantize_sequence([0.0, 0.0, 0.0], 5).values == (1 / 16,) * 3
-    assert quantize_sequence([1.0] * 4, 5).values == (1.0,) * 4
-    assert quantize_sequence([0.03, 0.2, 0.1], 5).values == (1 / 16, 1 / 4, 1 / 4)
+    assert quantize([0.0, 0.0, 0.0], 5) == (1 / 16,) * 3
+    assert quantize([1.0] * 4, 5) == (1.0,) * 4
+    assert quantize([0.03, 0.2, 0.1], 5) == (1 / 16, 1 / 4, 1 / 4)
 
 
 def test_quantize_top_level_boundary():
     # exactly 1/2 still fits the 1/2 level; anything above needs 1
-    assert quantize_sequence([0.5], 5).values == (0.5,)
-    assert quantize_sequence([0.5000001], 5).values == (1.0,)
+    assert quantize([0.5], 5) == (0.5,)
+    assert quantize([0.5000001], 5) == (1.0,)
 
 
 def test_quantize_is_minimal_dominating_vector():
@@ -242,7 +258,7 @@ def test_quantize_is_minimal_dominating_vector():
         family = enumerate_vectors(n, q)
         for _ in range(60):
             p = rng.random(n)
-            got = quantize_sequence(p, q).values
+            got = quantize(p, q)
             dominating = [u for u in family if all(ui >= pi for ui, pi
                                                    in zip(u, p))]
             assert got in dominating
@@ -254,61 +270,71 @@ def test_quantize_minimality_full_size():
     # same exhaustive check at the default size; 715 candidate vectors
     rng = np.random.default_rng(14)
     family = enumerate_vectors(9, 5)
-    for _ in range(20):
-        p = rng.random(9) ** 3  # push mass toward small probabilities
-        got = quantize_sequence(p, 5).values
+    block = rng.random((20, 9)) ** 3  # push mass toward small probabilities
+    rows = quantize_array(block, 5)
+    for p, row in zip(block, rows):
+        got = tuple(row.tolist())
         dominating = [u for u in family if all(ui >= pi for ui, pi
                                                in zip(u, p))]
         assert got in dominating
         assert got == tuple(min(col) for col in zip(*dominating))
-
-
-def test_quantize_array_matches_sequence():
-    rng = np.random.default_rng(15)
-    block = rng.random((50, 9))
-    rows = quantize_array(block, 5)
-    for i in range(block.shape[0]):
-        assert tuple(rows[i]) == quantize_sequence(block[i], 5).values
+        # a row of a table quantizes as the vector alone does
+        assert got == quantize(p, 5)
 
 
 # ------------------------------------------------------------------- NFA
 
 def test_quantized_vector_validation():
-    with pytest.raises(ValueError):
-        QuantizedProbVector((0.3,))          # not a dyadic level
-    with pytest.raises(ValueError):
-        QuantizedProbVector((0.5, 0.25))     # decreasing
-    with pytest.raises(ValueError):
-        QuantizedProbVector(())
+    # every output row is a quantized vector: dyadic levels in (0, 1],
+    # non-decreasing, one per component
+    rng = np.random.default_rng(16)
+    p = rng.random((500, 9)) ** 4
+    p[:50] = 0.0
+    p[50:100] = 1.0
+    for q in (1, 3, 5, 12):
+        got = quantize_array(p, q)
+        assert got.shape == p.shape
+        assert ((got > 0) & (got <= 1)).all()
+        assert (2.0 ** np.round(np.log2(got)) == got).all()
+        assert (np.diff(got, axis=1) >= 0).all()
+
+
+def at_levels(levels):
+    """(hq, hqp) whose resemblance probabilities are exactly the given
+    dyadic levels: the central case 2 |hqp - hq| around hq = 1/2."""
+    levels = np.asarray(levels, dtype=np.float64)
+    hq = np.full(levels.shape, 0.5)
+    return hq, hq + levels / 2
 
 
 def test_nfa_no_evidence_equals_test_count():
-    v = QuantizedProbVector((1.0,) * 9)
-    assert nfa(515, v) == 515.0
+    hq, hqp = at_levels([1.0] * 9)
+    assert resemblance_probability(hq, hqp).tolist() == [1.0] * 9
+    assert candidate_nfa_block(hq, hqp, 515, 5) == 515.0
+    # a candidate as far as possible in every component: the same
+    assert candidate_nfa_block(np.zeros(9), np.ones(9), 515, 5) == 515.0
 
 
 def test_nfa_dyadic_products_are_exact():
-    left = QuantizedProbVector(
-        (1 / 16, 1 / 16, 1 / 8, 1 / 8, 1 / 4, 1 / 4, 1 / 4, 1 / 4, 1 / 2))
-    assert left.probability() == 2.0 ** -23
-    assert nfa(10 ** 6, left) == 10 ** 6 * 2.0 ** -23
+    left = (1 / 16, 1 / 16, 1 / 8, 1 / 8, 1 / 4, 1 / 4, 1 / 4, 1 / 4, 1 / 2)
+    assert math.prod(left) == 2.0 ** -23
+    assert candidate_nfa_block(*at_levels(left), 10 ** 6, 5) \
+        == 10 ** 6 * 2.0 ** -23
 
-    right = QuantizedProbVector((0.5,) + (1.0,) * 8)
-    assert right.probability() == 0.5
-    assert nfa(10 ** 6, right) == 500_000.0
+    right = (0.5,) + (1.0,) * 8
+    assert candidate_nfa_block(*at_levels(right), 10 ** 6, 5) == 500_000.0
+    # both rows at once, as the scan passes them
+    hq, hqp = at_levels([left, right])
+    assert candidate_nfa_block(hq, hqp, 10 ** 6, 5).tolist() == [
+        10 ** 6 * 2.0 ** -23, 500_000.0]
 
 
 def test_nfa_right_case_reached_through_quantizer():
     # a first probability of exactly 1/2 pins every later level at >= 1/2
-    got = quantize_sequence((0.5,) + (0.9,) * 8, 5)
-    assert got.values == (0.5,) + (1.0,) * 8
-    assert got.probability() == 0.5
-
-
-def test_is_meaningful_boundary():
-    assert is_meaningful(0.5, 1.0)
-    assert is_meaningful(1.0, 1.0)
-    assert not is_meaningful(1.0001, 1.0)
+    p = (0.5,) + (0.9,) * 8
+    assert quantize(p, 5) == (0.5,) + (1.0,) * 8
+    hq, hqp = at_levels(p)
+    assert candidate_nfa_block(hq, hqp, 1, 5) == 0.5
 
 
 def test_params_validation():

@@ -14,7 +14,6 @@ from acbm.errors import (
 from acbm.imgio import GrayImage
 from acbm.patch_model import (
     ComponentCDF,
-    build_component_cdfs,
     cdf_eval,
     compute_patch_basis,
     extract_block,
@@ -349,7 +348,7 @@ def test_build_cdfs_needs_blocks():
     img = GrayImage(np.zeros((3, 3)))
     basis = compute_patch_basis(GrayImage(np.arange(25.0).reshape(5, 5)), 3)
     with pytest.raises(ImageTooSmall):
-        build_component_cdfs(img, basis)
+        learn_background_model(img, 3, basis=basis)
 
 
 def test_component1_tracks_image_histogram(texture_model):

@@ -2,6 +2,7 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,35 @@ def test_epsilon_only_widens(small_pair):
         ys, xs = common[:, 0], common[:, 1]
         assert np.array_equal(maps[0.01].disparity[ys, xs],
                               maps[50.0].disparity[ys, xs])
+
+
+@pytest.mark.parametrize("mode", [MatchMode.ACBM_ONLY, MatchMode.ACBM_SS])
+def test_epsilon_boundary_is_inclusive(small_pair, mode):
+    # a pixel whose best NFA equals epsilon exactly is meaningful; one ulp
+    # less rejects it, in the dense and in the single-pixel path
+    ref, sec, params, model = small_pair
+    loose = replace(params, epsilon=1e12)
+    dense = match_pair(ref, sec, loose, basis=model.basis, mode=mode)
+    ys, xs = np.nonzero(dense.accepted)
+    by_nfa = np.argsort(dense.nfa[ys, xs], kind="stable")
+    for k in (by_nfa[0], by_nfa[by_nfa.size // 2], by_nfa[-1]):
+        x, y = int(xs[k]), int(ys[k])
+
+        def dense_state(eps):
+            return match_pair(ref, sec, replace(params, epsilon=eps),
+                              basis=model.basis, mode=mode).state[y, x]
+
+        def pixel_state(eps):
+            return match_pixel((x, y), model, replace(params, epsilon=eps),
+                               ref, sec, mode=mode).state
+
+        pixel_nfa = match_pixel((x, y), model, loose, ref, sec,
+                                mode=mode).nfa
+        for state, nfa in ((dense_state, float(dense.nfa[y, x])),
+                           (pixel_state, pixel_nfa)):
+            assert state(nfa) == CellState.ACCEPTED, (mode, x, y)
+            assert state(float(np.nextafter(nfa, 0))) \
+                == CellState.NOT_MEANINGFUL, (mode, x, y)
 
 
 def test_height_mismatch():

@@ -6,15 +6,7 @@ from acbm import gen_texture
 from acbm.errors import DimensionMismatch
 from acbm.imgio import GrayImage
 from acbm.patch_model import extract_block
-from acbm.self_sim import (
-    SsContext,
-    aligned_ssd_map,
-    box_sum,
-    min_neighbor_ssd,
-    min_self_ssd_map,
-    self_similarity_accept,
-    ssd,
-)
+from acbm.self_sim import aligned_ssd_map, box_sum, min_self_ssd_map, ssd
 
 
 def naive_ssd(a, b):
@@ -43,45 +35,64 @@ def test_box_sum_matches_loops():
                 assert got[y, x] == values[y:y + side, x:x + side].sum()
 
 
+def min_self_at(img, radius, side, q):
+    """min_self_ssd_map at pixel q, from the one-row map of q's row."""
+    half = side // 2
+    x, y = q
+    return min_self_ssd_map(img, radius, side,
+                            slice(y - half, y - half + 1))[0, x - half]
+
+
+def direct_min_self(img, radius, side, q):
+    """Smallest direct block SSD from q to a same-row block at an offset of
+    magnitude 2 to radius inside the image; +inf when none fits."""
+    x, y = q
+    half = side // 2
+    block = extract_block(img, q, side)
+    return min((ssd(block, extract_block(img, (x + dr, y), side))
+                for dr in range(-radius, radius + 1)
+                if abs(dr) >= 2 and half <= x + dr < img.width - half),
+               default=np.inf)
+
+
 def test_min_neighbor_skips_overlapping_offsets():
     # only |dr| in [2, R] counts, and the window must stay inside
     img = gen_texture(24, 12, seed=3)
-    ctx = SsContext(img, search_radius=3, block_side=5)
     x, y = 9, 6
     block = extract_block(img, (x, y), 5)
     direct = min(ssd(block, extract_block(img, (x + dr, y), 5))
                  for dr in (-3, -2, 2, 3))
-    assert min_neighbor_ssd(ctx, (x, y)) == direct
+    assert min_self_at(img, 3, 5, (x, y)) == direct
 
 
 def test_min_neighbor_vacuous_without_candidates():
     img = gen_texture(24, 12, seed=3)
-    assert min_neighbor_ssd(SsContext(img, 1, 5), (9, 6)) == np.inf
-    assert min_neighbor_ssd(SsContext(img, 0, 5), (9, 6)) == np.inf
+    assert min_self_at(img, 1, 5, (9, 6)) == np.inf
+    assert min_self_at(img, 0, 5, (9, 6)) == np.inf
     # near the side, larger offsets fall outside and are skipped
-    narrow = SsContext(img, 3, 5)
-    assert min_neighbor_ssd(narrow, (2, 6)) == min(
+    assert min_self_at(img, 3, 5, (2, 6)) == min(
         ssd(extract_block(img, (2, 6), 5), extract_block(img, (2 + dr, 6), 5))
         for dr in (2, 3))
 
 
 def test_accept_is_strict():
     img = GrayImage(np.full((11, 21), 50.0))
-    ctx = SsContext(img, search_radius=4, block_side=5)
-    # flat image: every neighbor distance is 0, so nothing can pass
-    assert min_neighbor_ssd(ctx, (10, 5)) == 0.0
-    assert not self_similarity_accept(ctx, (10, 5), 0.0)
+    # flat image: every neighbor distance is 0, so nothing can pass the
+    # veto's strict cross < min_self
+    min_self = min_self_at(img, 4, 5, (10, 5))
+    assert min_self == 0.0
+    assert not 0.0 < min_self
     # vacuous minimum keeps any candidate
-    assert self_similarity_accept(SsContext(img, 1, 5), (10, 5), 1e9)
+    assert 1e9 < min_self_at(img, 1, 5, (10, 5))
 
 
 def test_periodic_stripes_reject():
     cols = np.where((np.arange(32) % 4) < 2, 255.0, 0.0)
     img = GrayImage(np.tile(cols, (16, 1)))
-    ctx = SsContext(img, search_radius=5, block_side=9)
     # offset 4 reproduces the block exactly
-    assert min_neighbor_ssd(ctx, (16, 8)) == 0.0
-    assert not self_similarity_accept(ctx, (16, 8), 0.0)
+    min_self = min_self_at(img, 5, 9, (16, 8))
+    assert min_self == 0.0
+    assert not 0.0 < min_self
 
 
 def non_integer_image(width, height, seed):
@@ -116,14 +127,22 @@ def test_aligned_map_matches_direct_blocks():
 
 
 def test_min_map_matches_scalar():
-    side, half, radius = 5, 2, 4
-    for img in (gen_texture(26, 15, seed=8), non_integer_image(26, 15, 8)):
-        got = min_self_ssd_map(img, radius, side)
-        ctx = SsContext(img, radius, side)
-        for yi in range(got.shape[0]):
-            for xi in range(got.shape[1]):
-                assert got[yi, xi] == min_neighbor_ssd(ctx,
-                                                       (xi + half, yi + half))
-        for rows in (slice(0, 1), slice(2, 9), slice(10, 11)):
-            band = min_self_ssd_map(img, radius, side, rows)
-            assert band.tobytes() == got[rows].tobytes(), rows
+    side, half = 5, 2
+    for img in (gen_texture(26, 15, seed=8), non_integer_image(26, 15, 8),
+                non_integer_image(8, 7, 9)):
+        wi = img.width - side + 1
+        # radius 4 leaves some offsets outside; from wi on, none fits
+        for radius in (4, wi - 1, wi, wi + 3):
+            got = min_self_ssd_map(img, radius, side)
+            assert got.shape == (img.height - side + 1, wi)
+            for yi in range(got.shape[0]):
+                for xi in range(got.shape[1]):
+                    q = (xi + half, yi + half)
+                    assert got[yi, xi] == direct_min_self(img, radius, side,
+                                                          q), (radius, q)
+                # one-row slices, as the single-pixel matcher takes them
+                row = min_self_ssd_map(img, radius, side, slice(yi, yi + 1))
+                assert row.tobytes() == got[yi:yi + 1].tobytes()
+            for rows in (slice(2, 9), slice(10, 11)):
+                band = min_self_ssd_map(img, radius, side, rows)
+                assert band.tobytes() == got[rows].tobytes(), rows
