@@ -8,6 +8,7 @@ training coefficients.  Blocks are centered on the mean before projection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +89,26 @@ def interior_blocks(image: GrayImage, block_side: int,
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of an exactly symmetric matrix by cyclic Jacobi
+    sweeps.
 
     Sweeps stop once the Frobenius norm of the off-diagonal part drops below
     1e-12 times the norm of the diagonal; raises EigenNoConvergence after 100
     sweeps.  Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    unsorted.
+    unsorted.  Raises DimensionMismatch unless the matrix is square and equal
+    to its transpose (NaN matching NaN): the rotations rely on that symmetry.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
+    if not np.array_equal(a, a.T, equal_nan=True):
+        raise DimensionMismatch("matrix must be exactly symmetric")
     s = a.shape[0]
-    v = np.eye(s)
+    # row k holds column k of the matrix, then column k of the eigenvectors
+    table = np.empty((s, 2 * s))
+    table[:, :s] = a
+    table[:, s:] = np.eye(s)
+    a = table[:, :s]  # the matrix's transpose, equal to it by symmetry
 
     def _off_norm():
         off = a.copy()
@@ -109,41 +118,63 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(_JACOBI_MAX_SWEEPS):
         d = np.diag(a)
         if _off_norm() <= _JACOBI_TOL * np.sqrt((d * d).sum()):
-            return d.copy(), v
-        with np.errstate(over="ignore"):  # near-zero pivots give huge theta
-            _sweep(a, v, s)
+            return d.copy(), table[:, s:].T.copy()
+        with np.errstate(over="ignore"):  # huge entries overflow the products
+            _sweep(table, s)
     d = np.diag(a)
     if _off_norm() <= _JACOBI_TOL * np.sqrt((d * d).sum()):
-        return d.copy(), v
+        return d.copy(), table[:, s:].T.copy()
     raise EigenNoConvergence(f"off-diagonal mass {_off_norm():.3e} left after "
                              f"{_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _sweep(a: np.ndarray, v: np.ndarray, s: int) -> None:
+def _sweep(table: np.ndarray, s: int) -> None:
+    """One cyclic sweep of rotations over the (s, 2s) column table.
+
+    Rotating rows p and q of the table applies the rotation to columns p
+    and q of the matrix and of the eigenvectors at once.  The matrix stays
+    exactly symmetric, so its rows p and q equal the new columns outside
+    the 2x2 block, bit for bit; only that block is computed apart."""
+    rows = list(table)
+    a_columns = list(table[:, :s])
+    a_rows = list(table[:, :s].T)
+    # numpy multiplies by a 0-d array faster than by a Python float
+    c_, sn_ = np.empty(()), np.empty(())
+    sn_p, sn_q = np.empty(2 * s), np.empty(2 * s)
     for p in range(s - 1):
+        rp = rows[p]
         for q in range(p + 1, s):
-            apq = a[p, q]
+            apq = table.item(p, q)
             if apq == 0.0:
                 continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            app = table.item(p, p)
+            aqq = table.item(q, q)
+            theta = (aqq - app) / (2.0 * apq)
             if abs(theta) > 1e140:  # theta^2 would overflow
                 t = 1.0 / (2.0 * theta)
             elif theta >= 0.0:
-                t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
             else:
-                t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
-            c = 1.0 / np.sqrt(t * t + 1.0)
+                t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
             sn = t * c
-            ap, aq = a[:, p].copy(), a[:, q].copy()
-            a[:, p] = c * ap - sn * aq
-            a[:, q] = sn * ap + c * aq
-            ap, aq = a[p, :].copy(), a[q, :].copy()
-            a[p, :] = c * ap - sn * aq
-            a[q, :] = sn * ap + c * aq
-            a[p, q] = a[q, p] = 0.0
-            vp, vq = v[:, p].copy(), v[:, q].copy()
-            v[:, p] = c * vp - sn * vq
-            v[:, q] = sn * vp + c * vq
+            c_[()] = c
+            sn_[()] = sn
+            rq = rows[q]
+            np.multiply(rp, sn_, out=sn_p)
+            np.multiply(rq, sn_, out=sn_q)
+            np.multiply(rp, c_, out=rp)
+            np.subtract(rp, sn_q, out=rp)  # c * rp - sn * rq
+            np.multiply(rq, c_, out=rq)
+            np.add(rq, sn_p, out=rq)  # c * rq + sn * rp
+            a_rows[p][:] = a_columns[p]
+            a_rows[q][:] = a_columns[q]
+            # the 2x2 block: the column rotation, then the row rotation
+            cpp, cqp = c * app - sn * apq, c * apq - sn * aqq
+            cpq, cqq = sn * app + c * apq, sn * apq + c * aqq
+            table[p, p] = c * cpp - sn * cqp
+            table[q, q] = sn * cpq + c * cqq
+            table[p, q] = table[q, p] = 0.0
 
 
 def compute_patch_basis(image: GrayImage, block_side: int) -> PatchBasis:

@@ -7,6 +7,7 @@ from acbm.errors import (
     BlockOutOfBounds,
     CorruptHeader,
     DimensionMismatch,
+    EigenNoConvergence,
     ImageTooSmall,
     TruncatedData,
     UnsupportedFormat,
@@ -126,6 +127,153 @@ def test_jacobi_rejects_nonsquare():
         jacobi_eigh(np.zeros((3, 4)))
 
 
+def loop_jacobi_eigh(matrix):
+    """The Jacobi solver as first written, one numpy call per row and column
+    operation of each rotation: jacobi_eigh must reproduce its bytes."""
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("matrix must be square")
+    s = a.shape[0]
+    v = np.eye(s)
+
+    def _off_norm():
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        return np.sqrt((off * off).sum())
+
+    for _ in range(100):
+        d = np.diag(a)
+        if _off_norm() <= 1e-12 * np.sqrt((d * d).sum()):
+            return d.copy(), v
+        with np.errstate(over="ignore"):  # near-zero pivots give huge theta
+            _loop_sweep(a, v, s)
+    d = np.diag(a)
+    if _off_norm() <= 1e-12 * np.sqrt((d * d).sum()):
+        return d.copy(), v
+    raise EigenNoConvergence(f"off-diagonal mass {_off_norm():.3e} left after "
+                             f"100 sweeps")
+
+
+def _loop_sweep(a, v, s):
+    for p in range(s - 1):
+        for q in range(p + 1, s):
+            apq = a[p, q]
+            if apq == 0.0:
+                continue
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            if abs(theta) > 1e140:  # theta^2 would overflow
+                t = 1.0 / (2.0 * theta)
+            elif theta >= 0.0:
+                t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+            else:
+                t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            sn = t * c
+            ap, aq = a[:, p].copy(), a[:, q].copy()
+            a[:, p] = c * ap - sn * aq
+            a[:, q] = sn * ap + c * aq
+            ap, aq = a[p, :].copy(), a[q, :].copy()
+            a[p, :] = c * ap - sn * aq
+            a[q, :] = sn * ap + c * aq
+            a[p, q] = a[q, p] = 0.0
+            vp, vq = v[:, p].copy(), v[:, q].copy()
+            v[:, p] = c * vp - sn * vq
+            v[:, q] = sn * vp + c * vq
+
+
+def block_covariance(image, side):
+    """The symmetrized block covariance, as compute_patch_basis forms it."""
+    blocks = interior_blocks(image, side)
+    centered = blocks - blocks.mean(axis=0)
+    cov = centered.T @ centered / blocks.shape[0]
+    return (cov + cov.T) * 0.5
+
+
+def random_symmetric(size):
+    m = np.random.default_rng(100 + size).normal(size=(size, size))
+    return (m + m.T) / 2
+
+
+def block_diagonal():
+    """A 3x3 and a 2x2 block on the diagonal: the zeros between them stay
+    exact zeros under every rotation, so every sweep skips those pivots."""
+    m = np.zeros((5, 5))
+    m[:3, :3] = random_symmetric(3)
+    m[3:, 3:] = random_symmetric(2)
+    return m
+
+
+def first_pivot(pq):
+    """3x3 whose first pivot (0, 1) has theta = (1 - 0) / (2 * pq), with an
+    entry at (1, 2) that keeps it from passing the convergence test at once."""
+    return np.array([[0.0, pq, 0.0], [pq, 1.0, 0.5], [0.0, 0.5, 2.0]])
+
+
+# a 2x2 cannot reach the |theta| > 1e140 branch: its only off-diagonal entry
+# is then below 1e-140 of the diagonal, and the convergence test stops first
+PIVOT_CASES = {
+    "theta-negative": np.array([[2.0, 1.0], [1.0, 1.0]]),
+    "theta-zero": np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "theta-positive": np.array([[1.0, 1.0], [1.0, 2.0]]),
+    "theta-huge": first_pivot(1e-300),
+    "theta-overflows": first_pivot(1e-310),
+}
+
+ORACLE_CASES = {
+    "texture": lambda: block_covariance(gen_texture(96, 96, seed=5), 9),
+    "saturated": lambda: block_covariance(saturated_square(96), 9),
+    "checkerboard": lambda: block_covariance(
+        GrayImage(np.indices((8, 8)).sum(axis=0) % 2 * 255.0), 3),
+    "block-diagonal": block_diagonal,
+    "diagonal": lambda: np.diag([3.0, -1.0, 0.0, 2.0]),
+    **{f"random-{n}": (lambda n=n: random_symmetric(n)) for n in range(2, 17)},
+    **{name: (lambda m=m: m) for name, m in PIVOT_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_jacobi_equals_loop_oracle(name):
+    matrix = ORACLE_CASES[name]()
+    given = matrix.copy()
+    values, vectors = jacobi_eigh(matrix)
+    ref_values, ref_vectors = loop_jacobi_eigh(matrix)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+    assert matrix.tobytes() == given.tobytes()
+
+
+def test_pivot_cases_reach_their_branches():
+    # Python floats: an overflowing division gives inf without a warning
+    theta = {name: (m.item(1, 1) - m.item(0, 0)) / (2.0 * m.item(0, 1))
+             for name, m in PIVOT_CASES.items()}
+    assert theta["theta-negative"] < 0.0
+    assert theta["theta-zero"] == 0.0
+    assert 0.0 < theta["theta-positive"] <= 1e140
+    assert 1e140 < theta["theta-huge"] < np.inf
+    assert theta["theta-overflows"] == np.inf
+    for m in PIVOT_CASES.values():  # not converged before the first sweep
+        off = m - np.diag(np.diag(m))
+        assert np.linalg.norm(off) > 1e-12 * np.linalg.norm(np.diag(m))
+
+
+def test_jacobi_rejects_nonsymmetric():
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    m[0, 1] = np.nextafter(1.0, 2.0)
+    with pytest.raises(DimensionMismatch):
+        jacobi_eigh(m)
+    m = np.eye(3)
+    m[0, 2] = np.nan
+    with pytest.raises(DimensionMismatch):
+        jacobi_eigh(m)
+
+
+def test_jacobi_nan_matrix_does_not_converge():
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = np.nan
+    with pytest.raises(EigenNoConvergence):
+        jacobi_eigh(m)
+
+
 # ------------------------------------------------------------------- basis
 
 def test_basis_constant_image():
@@ -142,14 +290,15 @@ def test_basis_needs_enough_blocks():
 
 
 def two_table_basis(image, side):
-    """The block copy and a second, centered copy, as the basis was first
-    written: the one-table version must give the same bytes."""
+    """The block copy and a second, centered copy, solved by the loop Jacobi
+    solver, as the basis was first written: compute_patch_basis must give
+    the same bytes."""
     blocks = interior_blocks(image, side)
     mean = blocks.mean(axis=0)
     centered = blocks - mean
     cov = centered.T @ centered / blocks.shape[0]
     cov = (cov + cov.T) * 0.5
-    values, vectors = jacobi_eigh(cov)
+    values, vectors = loop_jacobi_eigh(cov)
     order = np.argsort(-values, kind="stable")
     return mean, vectors[:, order].T.copy(), np.maximum(values[order], 0.0)
 
