@@ -47,10 +47,6 @@ class AcbmParams:
         if self.num_levels < 1:
             raise ValueError("need at least one probability level")
 
-    @property
-    def block_area(self) -> int:
-        return self.block_side * self.block_side
-
     def candidate_order(self) -> tuple[int, ...]:
         """Disparities in tie-breaking order: smaller |d| first, then the
         negative one of each +/- pair."""
@@ -141,22 +137,12 @@ def quantize_array(p_hat: np.ndarray, num_levels: int) -> np.ndarray:
                                  axis=-1)
 
 
-def _binom(m: int, k: int) -> int:
-    # conventions: C(m, 0) = 1 down to m = -1, C(m, k) = 0 when m < k
-    if k == 0:
-        return 1 if m >= -1 else 0
-    if k < 0 or m < k:
-        return 0
-    return math.comb(m, k)
-
-
 def count_nondecreasing(num_components: int, num_levels: int) -> int:
     """Number of non-decreasing quantized vectors of length num_components
-    over num_levels levels."""
+    over num_levels levels: the multisets of that size, C(N + Q - 1, N)."""
     if num_components < 1 or num_levels < 1:
         raise ValueError("component and level counts must be >= 1")
-    n, q = num_components, num_levels
-    total = sum((t + 1) * _binom(n + q - t - 3, q - t - 1) for t in range(q))
+    total = math.comb(num_components + num_levels - 1, num_components)
     if total > _INT64_MAX:
         raise Overflow(f"vector count {total} exceeds 64-bit range")
     return total

@@ -93,7 +93,8 @@ class DisparityMap:
         return self.state == CellState.ACCEPTED
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _skip_blank(buf: bytes, pos: int) -> int:
+    """Start of the next token at or after pos; len(buf) at end of data."""
     n = len(buf)
     while pos < n:
         c = buf[pos]
@@ -104,6 +105,12 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
                 pos += 1
         else:
             break
+    return pos
+
+
+def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    n = len(buf)
+    pos = _skip_blank(buf, pos)
     if pos >= n:
         raise CorruptHeader("unexpected end of header")
     start = pos
@@ -160,13 +167,11 @@ def _load_pgm(buf: bytes, pos: int, magic: bytes, path) -> GrayImage:
     else:
         values = []
         while len(values) < count:
-            try:
-                v, pos = _int_token(buf, pos, "sample")
-            except CorruptHeader as exc:
-                if "end of header" in str(exc):
-                    raise TruncatedData(
-                        f"{path}: {len(values)} samples, expected {count}") from None
-                raise
+            pos = _skip_blank(buf, pos)
+            if pos >= len(buf):
+                raise TruncatedData(
+                    f"{path}: {len(values)} samples, expected {count}")
+            v, pos = _int_token(buf, pos, "sample")
             values.append(v)
         data = np.array(values, dtype=np.float64)
     if data.min() < 0 or data.max() > maxval:

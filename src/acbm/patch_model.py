@@ -3,8 +3,9 @@
 A square block of side b is flattened row-major into a vector of s = b*b
 samples.  The model is a PCA basis learned from every complete block of a
 training image (mean block, eigenvectors and eigenvalues of the block
-covariance) together with one empirical CDF per component, built from the
-training coefficients.  Blocks are centered on the mean before projection.
+covariance) together with one empirical CDF per component: row i of an
+(s, m) table holds component i's m training coefficients, sorted.  Blocks
+are centered on the mean before projection.
 """
 from __future__ import annotations
 
@@ -39,17 +40,17 @@ class PatchBasis:
 
 
 @dataclass(eq=False)
-class ComponentCDF:
-    """Sorted training coefficients of one component (index is 1-based)."""
-
-    component_index: int
-    sorted_values: np.ndarray
-
-
-@dataclass(eq=False)
 class BackgroundModel:
+    """Basis plus cdfs: row i of that (s, m) table sorts component i's m
+    training coefficients."""
+
     basis: PatchBasis
-    cdfs: list[ComponentCDF]
+    cdfs: np.ndarray
+
+    def __post_init__(self):
+        if len(self.cdfs) != self.basis.size:
+            raise DimensionMismatch(f"{len(self.cdfs)} CDFs for basis size "
+                                    f"{self.basis.size}")
 
 
 def extract_block(image: GrayImage, q: tuple[int, int], block_side: int) -> np.ndarray:
@@ -214,16 +215,16 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
 
 
 def training_ranks(basis: PatchBasis,
-                   image: GrayImage) -> tuple[list[ComponentCDF], np.ndarray]:
+                   image: GrayImage) -> tuple[BackgroundModel, np.ndarray]:
     """Empirical CDF of each component over every complete block of the
     image, and every block's own CDF values as integer ranks.
 
-    Returns (cdfs, ranks).  ranks is an (m, s) table in interior_blocks
-    order, of the smallest unsigned type that holds m; ranks / m equals
-    cdf_eval(cdf, value) bit for bit at every training value, because a
-    training value's CDF value is its last-occurrence rank over m.  The
-    image is projected in row bands straight into the (s, m) block of
-    sorted values; one pool task per component then sorts its row in place.
+    Returns (model, ranks).  ranks is an (m, s) table in interior_blocks
+    order, of the smallest unsigned type that holds m; column i over m
+    equals cdf_eval(model.cdfs[i], value) bit for bit at every training
+    value, because a training value's CDF value is its last-occurrence rank
+    over m.  The image is projected in row bands straight into the model's
+    (s, m) table; one pool task per component then sorts its row in place.
     """
     side = basis.block_side
     hi, wi = interior_shape(image, side)
@@ -254,17 +255,15 @@ def training_ranks(basis: PatchBasis,
 
     bands.run_bands(band, hi)
     bands.run_parallel(component, range(s))
-    cdfs = [ComponentCDF(component_index=i + 1, sorted_values=sorted_values[i])
-            for i in range(s)]
-    return cdfs, ranks
+    return BackgroundModel(basis, sorted_values), ranks
 
 
-def cdf_eval(cdf: ComponentCDF, value):
-    """Fraction of training values <= value, linearly interpolated between
-    adjacent order statistics; ties share the rank of their last occurrence.
-    Below the minimum -> 0, at or above the maximum -> 1.  Accepts scalars
-    or arrays."""
-    sv = cdf.sorted_values
+def cdf_eval(sorted_values: np.ndarray, value):
+    """Fraction of the sorted training values <= value, linearly
+    interpolated between adjacent order statistics; ties share the rank of
+    their last occurrence.  Below the minimum -> 0, at or above the maximum
+    -> 1.  Accepts scalars or arrays."""
+    sv = sorted_values
     m = sv.size
     if m == 0:
         raise ValueError("empty CDF")
@@ -288,17 +287,17 @@ def cdf_eval(cdf: ComponentCDF, value):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def sample_coefficients(cdfs: list[ComponentCDF], rng: np.random.Generator,
+def sample_coefficients(cdfs: np.ndarray, rng: np.random.Generator,
                         count: int) -> np.ndarray:
     """Draw count independent coefficient vectors, each component sampled by
-    inverse-CDF from its own empirical distribution.  The uniforms are drawn
-    at once, so the draws do not depend on the band pool that turns each
-    component's column into values."""
+    inverse-CDF from its row of the (s, m) table of sorted training values.
+    The uniforms are drawn at once, so the draws do not depend on the band
+    pool that turns each component's column into values."""
     u = rng.random((count, len(cdfs)))
     out = np.empty_like(u)
 
     def column(i):
-        sv = cdfs[i].sorted_values
+        sv = cdfs[i]
         ranks = np.arange(1, sv.size + 1) / sv.size
         # interpolating at ascending u keeps the searches in cache
         values = u[:, i].copy()
@@ -310,16 +309,6 @@ def sample_coefficients(cdfs: list[ComponentCDF], rng: np.random.Generator,
     return out
 
 
-def sample_background_block(basis: PatchBasis, cdfs: list[ComponentCDF],
-                            rng_seed: int) -> np.ndarray:
-    """One random block from the background model, deterministic per seed."""
-    if len(cdfs) != basis.size:
-        raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
-    rng = np.random.default_rng(rng_seed)
-    c = sample_coefficients(cdfs, rng, 1)[0]
-    return basis.mean_block + c @ basis.eigenvectors
-
-
 def learn_background_model(image: GrayImage, block_side: int = 9,
                            basis: PatchBasis | None = None) -> BackgroundModel:
     """Basis (learned from the image unless given) plus that image's CDFs."""
@@ -328,7 +317,7 @@ def learn_background_model(image: GrayImage, block_side: int = 9,
     elif basis.block_side != block_side:
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"requested {block_side}")
-    return BackgroundModel(basis=basis, cdfs=training_ranks(basis, image)[0])
+    return training_ranks(basis, image)[0]
 
 
 def save_basis(basis: PatchBasis, path) -> None:

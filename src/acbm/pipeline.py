@@ -53,15 +53,14 @@ class CandidateScore:
     cross_ssd: float
 
 
-def reference_tables(image: GrayImage, basis: PatchBasis,
-                     cdfs, num_components: int):
+def reference_tables(image: GrayImage, model: BackgroundModel,
+                     num_components: int):
     """Per interior pixel (row-major grid): indices of the num_components
     locally dominant components and the background CDF values of the
     reference coefficients there.  Returns (order, h_ref) of shape (n, N),
     order in the smallest unsigned type that holds s - 1.  Row bands run on
     the band pool and fill the two tables."""
-    if len(cdfs) != basis.size:
-        raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
+    basis = model.basis
     side = basis.block_side
     hi, wi = patch_model.interior_shape(image, side)
     order = np.empty((hi * wi, num_components),
@@ -74,7 +73,7 @@ def reference_tables(image: GrayImage, basis: PatchBasis,
             basis, patch_model.interior_blocks(image, side, rows))
         order[cells] = core.top_components(coeffs, num_components)
         # the chosen components are known: CDF values replace coefficients
-        for i, cdf in enumerate(cdfs):
+        for i, cdf in enumerate(model.cdfs):
             coeffs[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
         h_ref[cells] = np.take_along_axis(coeffs, order[cells], axis=1)
 
@@ -119,10 +118,9 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"params block side {side}")
 
-    cdfs, ranks = patch_model.training_ranks(basis, secondary)
-    order, hq = reference_tables(reference, basis, cdfs,
-                                 params.num_components)
-    del cdfs    # the scan reads the secondary's ranks only
+    model, ranks = patch_model.training_ranks(basis, secondary)
+    order, hq = reference_tables(reference, model, params.num_components)
+    del model   # the scan reads the secondary's ranks only
 
     hi = reference.height - side + 1
     wi_r = reference.width - side + 1

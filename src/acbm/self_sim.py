@@ -37,17 +37,6 @@ def ssd(a, b) -> float:
     return float(window_sums(squares, side)[0, 0])
 
 
-def box_sum(values: np.ndarray, side: int) -> np.ndarray:
-    """Sliding side x side window sums, output (h-side+1, w-side+1), as
-    differences of a whole-array summed-area table: fast, but a window's
-    rounding depends on where the array starts.  The texture generator
-    uses it; the distances use window_sums."""
-    c = np.cumsum(np.cumsum(values, axis=0, dtype=np.float64), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return (c[side:, side:] - c[:-side, side:]
-            - c[side:, :-side] + c[:-side, :-side])
-
-
 def window_sums(values: np.ndarray, side: int) -> np.ndarray:
     """Sliding side x side window sums of a float64 array, output
     (h-side+1, w-side+1).  Every window is summed in the same order: each

@@ -16,7 +16,7 @@ import numpy as np
 from . import bands, core, patch_model, pipeline
 from .errors import DimensionMismatch, UnreadableFile
 from .imgio import DisparityMap, GrayImage, load_disparity, load_gray
-from .self_sim import box_sum
+from .self_sim import window_sums
 
 
 @dataclass(eq=False)
@@ -58,7 +58,7 @@ def gen_texture(width: int, height: int, seed: int = 0) -> GrayImage:
     [0, 255] gray levels."""
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, 1.0, size=(height, width))
-    smooth = box_sum(np.pad(noise, 2, mode="edge"), 5) / 25.0
+    smooth = window_sums(np.pad(noise, 2, mode="edge"), 5) / 25.0
     lo, hi = smooth.min(), smooth.max()
     if hi > lo:
         smooth = (smooth - lo) * (255.0 / (hi - lo))
@@ -119,11 +119,8 @@ def monte_carlo_false_alarms(image: GrayImage,
     if basis.block_side != params.block_side:
         raise DimensionMismatch(f"model block side {basis.block_side} != "
                                 f"params block side {params.block_side}")
-    if len(cdfs) != basis.size:
-        raise DimensionMismatch(f"{len(cdfs)} CDFs for basis size {basis.size}")
     hi, wi = patch_model.interior_shape(image, basis.block_side)
-    order, hq = pipeline.reference_tables(image, basis, cdfs,
-                                          params.num_components)
+    order, hq = pipeline.reference_tables(image, model, params.num_components)
     n_ref = hi * wi
     n_test = core.number_of_tests(image.width * image.height, params)
     rounds = 2 * params.search_radius + 1

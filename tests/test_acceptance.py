@@ -318,8 +318,8 @@ def test_criterion_8_numerical_invariants():
     probes_per_cdf = 100_000 // len(model.cdfs) + 1
     monotone = True
     for cdf in model.cdfs:
-        lo = float(cdf.sorted_values[0]) - 1.0
-        hi = float(cdf.sorted_values[-1]) + 1.0
+        lo = float(cdf[0]) - 1.0
+        hi = float(cdf[-1]) + 1.0
         probes = np.sort(rng.uniform(lo, hi, probes_per_cdf))
         if (np.diff(cdf_eval(cdf, probes)) < 0).any():
             monotone = False

@@ -60,6 +60,18 @@ def test_count_overflow():
         count_nondecreasing(20000, 6)
 
 
+@pytest.mark.parametrize("num_levels, last_n, last_count", [
+    (2, 2**63 - 2, 2**63 - 1),               # the int64 maximum itself
+    (5, 121_973, 9_223_148_185_681_446_450),
+])
+def test_count_int64_edge(num_levels, last_n, last_count):
+    # the largest count that returns, then the first that raises
+    assert count_nondecreasing(last_n, num_levels) == last_count
+    assert math.comb(last_n + num_levels, last_n + 1) > 2**63 - 1
+    with pytest.raises(Overflow):
+        count_nondecreasing(last_n + 1, num_levels)
+
+
 def test_number_of_tests_frozen():
     params = AcbmParams(search_radius=15)
     assert number_of_tests(10 ** 6, params) == 22_165_000_000

@@ -66,6 +66,15 @@ def test_pgm_ascii_truncated(tmp_path):
         load_gray(path)
 
 
+@pytest.mark.parametrize("data", [b"P2\n3 2 255\n",
+                                  b"P2\n3 2 255\n0 10 20 30 # cut here\n"])
+def test_pgm_ascii_truncated_at_end_of_data(tmp_path, data):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(data)
+    with pytest.raises(TruncatedData):
+        load_gray(path)
+
+
 def test_pgm_binary_truncated(tmp_path):
     path = tmp_path / "short5.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(15))
@@ -86,6 +95,7 @@ def test_pgm_sample_above_maxval(tmp_path):
     b"P2\n2 2 0\n",             # maxval too small
     b"P2\n2 2 70000\n",         # maxval too large
     b"P2\nx 2 255\n0 0 0 0\n",  # non-numeric width
+    b"P2\n3 2",                 # cut before maxval
 ])
 def test_pgm_corrupt_headers(tmp_path, header):
     path = tmp_path / "bad.pgm"

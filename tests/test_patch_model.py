@@ -14,7 +14,6 @@ from acbm.errors import (
 )
 from acbm.imgio import GrayImage
 from acbm.patch_model import (
-    ComponentCDF,
     cdf_eval,
     compute_patch_basis,
     extract_block,
@@ -23,7 +22,6 @@ from acbm.patch_model import (
     learn_background_model,
     load_basis,
     project,
-    sample_background_block,
     sample_coefficients,
     save_basis,
     training_ranks,
@@ -409,27 +407,26 @@ def naive_cdf(sample, x):
 def test_cdf_matches_rank_oracle():
     rng = np.random.default_rng(22)
     sample = rng.normal(size=257)
-    cdf = ComponentCDF(1, np.sort(sample))
+    cdf = np.sort(sample)
     for x in rng.normal(size=400):
         assert cdf_eval(cdf, x) == pytest.approx(naive_cdf(sample, x), abs=1e-12)
 
 
 def test_cdf_tails_and_median():
-    values = np.arange(1.0, 102.0)  # odd length, distinct
-    cdf = ComponentCDF(1, values)
+    cdf = np.arange(1.0, 102.0)  # odd length, distinct
     assert cdf_eval(cdf, 0.0) == 0.0
     assert cdf_eval(cdf, 102.0) == 1.0
-    assert cdf_eval(cdf, 51.0) == pytest.approx(0.5, abs=1.0 / values.size)
+    assert cdf_eval(cdf, 51.0) == pytest.approx(0.5, abs=1.0 / cdf.size)
 
 
 def test_cdf_ties_share_last_rank():
-    cdf = ComponentCDF(1, np.array([1.0, 2.0, 2.0, 3.0]))
+    cdf = np.array([1.0, 2.0, 2.0, 3.0])
     assert cdf_eval(cdf, 2.0) == pytest.approx(3 / 4)
 
 
 def test_cdf_monotone():
     rng = np.random.default_rng(23)
-    cdf = ComponentCDF(1, np.sort(rng.normal(size=300)))
+    cdf = np.sort(rng.normal(size=300))
     probes = np.sort(rng.normal(scale=2.0, size=2000))
     out = cdf_eval(cdf, probes)
     assert (np.diff(out) >= 0).all()
@@ -439,7 +436,7 @@ def test_cdf_monotone():
 def test_cdf_vector_matches_scalar():
     rng = np.random.default_rng(24)
     train = rng.normal(size=64)
-    cdf = ComponentCDF(1, np.sort(train))
+    cdf = np.sort(train)
     # unsorted 2-D probes: duplicates, both tails and exact training values
     mixed = np.concatenate([rng.normal(size=20), train[:10], train[:5],
                             [train.min() - 1.0, train.max() + 1.0,
@@ -462,14 +459,13 @@ def test_training_ranks_match_cdf_eval(image, dtype):
     basis = compute_patch_basis(saturated_square(96), 9)
     coeffs = project(basis, interior_blocks(image, 9))
     m = coeffs.shape[0]
-    cdfs, ranks = training_ranks(basis, image)
-    assert len(cdfs) == 81
+    model, ranks = training_ranks(basis, image)
+    assert model.basis is basis and model.cdfs.shape == (81, m)
     assert ranks.shape == (m, 81) and ranks.dtype == dtype
-    for i, cdf in enumerate(cdfs):
+    for i, cdf in enumerate(model.cdfs):
         column = coeffs[:, i]
         assert np.unique(column).size < 0.7 * column.size
-        assert cdf.component_index == i + 1
-        assert np.array_equal(cdf.sorted_values, np.sort(column))
+        assert np.array_equal(cdf, np.sort(column))
         assert (ranks[:, i] / m).tobytes() == \
             cdf_eval(cdf, column).tobytes(), i
 
@@ -478,19 +474,17 @@ def test_training_ranks_need_two_blocks():
     basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
     with pytest.raises(ImageTooSmall):
         training_ranks(basis, gen_texture(5, 5, seed=2))
-    cdfs, ranks = training_ranks(basis, gen_texture(6, 5, seed=2))
+    model, ranks = training_ranks(basis, gen_texture(6, 5, seed=2))
     assert ranks.shape == (2, 25)
-    assert all(cdf.sorted_values.size == 2 for cdf in cdfs)
+    assert model.cdfs.shape == (25, 2)
 
 
 def test_build_cdfs_counts(texture_model):
     img, model = texture_model
     n_blocks = (96 - 8) ** 2
-    assert len(model.cdfs) == 81
-    for i, cdf in enumerate(model.cdfs):
-        assert cdf.component_index == i + 1
-        assert cdf.sorted_values.size == n_blocks
-        assert (np.diff(cdf.sorted_values) >= 0).all()
+    assert model.cdfs.shape == (81, n_blocks)
+    assert model.cdfs.dtype == np.float64
+    assert (np.diff(model.cdfs, axis=1) >= 0).all()
 
 
 def test_build_cdfs_needs_blocks():
@@ -504,7 +498,7 @@ def test_component1_tracks_image_histogram(texture_model):
     # the leading component follows local brightness, so its quantile
     # profile should line up with the gray-level quantile profile
     img, model = texture_model
-    c1 = np.sort(model.cdfs[0].sorted_values)
+    c1 = model.cdfs[0]
     px = np.sort(img.pixels.ravel())
     grid = np.linspace(0.0, 1.0, 512)
     qc = np.interp(grid, np.linspace(0.0, 1.0, c1.size), c1)
@@ -516,12 +510,11 @@ def test_component1_tracks_image_histogram(texture_model):
 
 def test_sampling_deterministic(texture_model):
     _, model = texture_model
-    a = sample_background_block(model.basis, model.cdfs, rng_seed=7)
-    b = sample_background_block(model.basis, model.cdfs, rng_seed=7)
-    c = sample_background_block(model.basis, model.cdfs, rng_seed=8)
+    a, b, c = (sample_coefficients(model.cdfs, np.random.default_rng(seed), 3)
+               for seed in (7, 7, 8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert a.shape == (81,)
+    assert a.shape == (3, 81)
 
 
 def test_sampling_marginal_means(texture_model):
@@ -542,15 +535,16 @@ def test_sampling_matches_unsorted_interp(texture_model):
     got = sample_coefficients(model.cdfs, np.random.default_rng(3), 500)
     u = np.random.default_rng(3).random((500, 81))
     for i, cdf in enumerate(model.cdfs):
-        m = cdf.sorted_values.size
-        ref = np.interp(u[:, i], np.arange(1, m + 1) / m, cdf.sorted_values)
+        m = cdf.size
+        ref = np.interp(u[:, i], np.arange(1, m + 1) / m, cdf)
         assert got[:, i].tobytes() == ref.tobytes(), i
 
 
 def test_sampling_constant_model():
     model = learn_background_model(GrayImage(np.full((16, 16), 40.0)), 3)
-    block = sample_background_block(model.basis, model.cdfs, rng_seed=0)
-    assert np.allclose(block, 40.0)
+    coeffs = sample_coefficients(model.cdfs, np.random.default_rng(0), 5)
+    blocks = model.basis.mean_block + coeffs @ model.basis.eigenvectors
+    assert np.allclose(blocks, 40.0)
 
 
 # -------------------------------------------------------------- basis file

@@ -12,9 +12,10 @@ from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
 from acbm.errors import (BorderPixel, DimensionMismatch, HeightMismatch,
                          ImageTooSmall)
 from acbm.imgio import CellState, DisparityMap, GrayImage
-from acbm.patch_model import (PatchBasis, cdf_eval, compute_patch_basis,
-                               interior_blocks, learn_background_model,
-                               project, training_ranks)
+from acbm.patch_model import (BackgroundModel, PatchBasis, cdf_eval,
+                               compute_patch_basis, interior_blocks,
+                               learn_background_model, project,
+                               training_ranks)
 from acbm.pipeline import (candidate_nfa_block, reference_tables,
                            scan_candidates)
 from acbm.validation import gen_texture, gen_translated_pair
@@ -262,10 +263,11 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         # identity basis: a coefficient is a pixel value, so the blocks of
         # the saturated square tie in every component
         basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
-    cdfs, _ = training_ranks(basis, sec)
+    model, _ = training_ranks(basis, sec)
     for count in (5, 9, 25):
-        order, h_ref = reference_tables(ref, basis, cdfs, count)
-        want_order, want_h = oracle_reference_tables(ref, basis, cdfs, count)
+        order, h_ref = reference_tables(ref, model, count)
+        want_order, want_h = oracle_reference_tables(ref, basis, model.cdfs,
+                                                     count)
         assert order.shape == want_order.shape == (86 * 44, count)
         assert order.dtype == np.uint8
         assert np.array_equal(order, want_order)
@@ -274,11 +276,12 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
 
 @pytest.mark.parametrize("count", [20, 30])
 def test_reference_tables_rejects_wrong_cdf_count(count):
+    # the model checks its own size: a wrong one is never built
     img = gen_texture(40, 40, seed=1)
     model = learn_background_model(img, 5)
-    cdfs = (model.cdfs * 2)[:count]
+    cdfs = np.resize(model.cdfs, (count, model.cdfs.shape[1]))
     with pytest.raises(DimensionMismatch):
-        reference_tables(img, model.basis, cdfs, 9)
+        reference_tables(img, BackgroundModel(model.basis, cdfs), 9)
 
 
 def test_match_pair_repeats_byte_for_byte(banded_pair):
@@ -345,7 +348,7 @@ def test_match_pixel_agrees_at_block_17():
     params = AcbmParams(search_radius=3, block_side=17, num_components=12)
     basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
     model = learn_background_model(sec, 17, basis=basis)
-    order, _ = reference_tables(ref, basis, model.cdfs, 12)
+    order, _ = reference_tables(ref, model, 12)
     assert order.dtype == np.uint16 and order.max() > 255
     probes = [(x, y) for y in (8, 28, 39) for x in range(8, 36, 3)]
     states = set()

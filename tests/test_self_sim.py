@@ -6,7 +6,8 @@ from acbm import gen_texture
 from acbm.errors import DimensionMismatch
 from acbm.imgio import GrayImage
 from acbm.patch_model import extract_block
-from acbm.self_sim import aligned_ssd_map, box_sum, min_self_ssd_map, ssd
+from acbm.self_sim import (aligned_ssd_map, min_self_ssd_map, ssd,
+                           window_sums)
 
 
 def naive_ssd(a, b):
@@ -25,14 +26,29 @@ def test_ssd_shape_mismatch():
         ssd(np.zeros(9), np.zeros(10))
 
 
-def test_box_sum_matches_loops():
+def loop_window_sum(window):
+    """Each row left to right, then the row sums top to bottom."""
+    total = 0.0
+    for row in window:
+        row_sum = 0.0
+        for v in row:
+            row_sum += float(v)
+        total += row_sum
+    return total
+
+
+def test_window_sums_matches_loops():
     rng = np.random.default_rng(41)
-    values = rng.integers(0, 50, size=(12, 17)).astype(float)
+    values = rng.normal(size=(12, 17)) * 1e3
     for side in (1, 3, 5):
-        got = box_sum(values, side)
+        got = window_sums(values, side)
+        assert got.shape == (13 - side, 18 - side)
         for y in range(values.shape[0] - side + 1):
             for x in range(values.shape[1] - side + 1):
-                assert got[y, x] == values[y:y + side, x:x + side].sum()
+                window = values[y:y + side, x:x + side]
+                assert got[y, x] == loop_window_sum(window), (side, y, x)
+                # the sum depends on the window's values, not its place
+                assert got[y, x] == window_sums(window, side)[0, 0]
 
 
 def min_self_at(img, radius, side, q):

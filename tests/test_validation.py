@@ -1,4 +1,6 @@
 """Synthetic generators, ground-truth loading, accuracy metrics."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,22 @@ def test_texture_deterministic_integer_full_range():
     flat = t1.pixels
     r = np.corrcoef(flat[:, :-1].ravel(), flat[:, 1:].ravel())[0, 1]
     assert r > 0.5
+
+
+@pytest.mark.parametrize("size, seed, digest", [
+    ((11, 9), 2,
+     "646864c5e297c844eade57a634ff0498505ea07c7b5e17f3e65b341bfaae2f5f"),
+    ((64, 40), 2,
+     "5028384c4ae9fbc05275fc1e14decabc7b38ad0ace5fcc6bd68da454d9c6a5cb"),
+    ((96, 96), 5,
+     "f337f2f9532a60e6851e0f49f41136958b6b3edc36cad6b8574dc7deefd8cbda"),
+    ((512, 512), 0,
+     "1090b3d2eab7fe80f75f9435555f08f80688bf7a2fd1d361690f4420f6a0f211"),
+])
+def test_texture_bytes_frozen(size, seed, digest):
+    # the criteria's inputs: a change to the generator changes them all
+    pixels = gen_texture(*size, seed=seed).pixels
+    assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
 
 
 def test_translated_pair_geometry():
@@ -199,8 +217,9 @@ def saturated_model():
 
 @pytest.mark.parametrize("count", [80, 82])
 def test_monte_carlo_rejects_wrong_cdf_count(saturated_model, count):
+    # the model checks its own size: a wrong one is never built
     img, model = saturated_model
-    cdfs = (model.cdfs * 2)[:count]
+    cdfs = np.resize(model.cdfs, (count, model.cdfs.shape[1]))
     with pytest.raises(DimensionMismatch):
         monte_carlo_false_alarms(img, BackgroundModel(model.basis, cdfs),
                                  AcbmParams(search_radius=2), trials=1)
@@ -209,8 +228,7 @@ def test_monte_carlo_rejects_wrong_cdf_count(saturated_model, count):
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
     basis, cdfs = model.basis, model.cdfs
-    order, hq = pipeline.reference_tables(image, basis, cdfs,
-                                          params.num_components)
+    order, hq = pipeline.reference_tables(image, model, params.num_components)
     n_test = core.number_of_tests(image.width * image.height, params)
     counts = []
     for t in range(trials):
