@@ -9,10 +9,18 @@ Disparity maps are written as text (one line per pixel row, tab-separated,
 rejected cells as the token "NaN") and optionally as a visualization PGM
 where accepted disparities map affinely onto [0, 254] and rejected pixels
 are the sentinel 255.
+
+Every file in the package is read by read_file and written by write_file,
+so an OS error always surfaces as UnreadableFile or WriteFailure naming the
+path.  Parsing raises UnsupportedFormat for an empty file or unknown magic,
+CorruptHeader for an unparsable header, sample or text token, and
+TruncatedData when the data stop short of what the header promises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import re
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -20,7 +28,9 @@ import numpy as np
 from .errors import (CorruptHeader, TruncatedData, UnreadableFile,
                      UnsupportedFormat, WriteFailure)
 
-_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+# one token after any whitespace and '#' comments; a '#' also ends a token.
+# Bytes-pattern \s is the six ASCII whitespace bytes Netpbm allows.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 @dataclass(eq=False)
@@ -93,47 +103,56 @@ class DisparityMap:
         return self.state == CellState.ACCEPTED
 
 
-def _skip_blank(buf: bytes, pos: int) -> int:
-    """Start of the next token at or after pos; len(buf) at end of data."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            while pos < n and buf[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    return pos
-
-
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    pos = _skip_blank(buf, pos)
-    if pos >= n:
-        raise CorruptHeader("unexpected end of header")
-    start = pos
-    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
-        pos += 1
-    return buf[start:pos], pos
-
-
-def _int_token(buf: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, pos = _next_token(buf, pos)
+def read_file(path) -> bytes:
+    """The whole file; any OS error becomes UnreadableFile."""
     try:
-        return int(tok), pos
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc}") from None
+
+
+def write_file(path, *chunks: bytes) -> None:
+    """Write the chunks in order; any OS error becomes WriteFailure."""
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise WriteFailure(f"{path}: {exc}") from None
+
+
+def _int(tok: bytes, what: str) -> int:
+    try:
+        return int(tok)
     except ValueError:
         raise CorruptHeader(f"bad {what}: {tok!r}") from None
 
 
+def _next_token(buf: bytes, pos: int, what: str | None = None):
+    """The next header token, as an int when what names it, and the
+    position after it."""
+    m = _TOKEN.match(buf, pos)
+    if not m[1]:
+        raise CorruptHeader("unexpected end of header")
+    return (m[1] if what is None else _int(m[1], what)), m.end()
+
+
+def _raster(buf: bytes, pos: int, dtype: np.dtype, width: int, height: int,
+            path) -> np.ndarray:
+    """The width*height binary samples after the header's last whitespace."""
+    if not buf[pos:pos + 1].isspace():
+        raise CorruptHeader(f"{path}: missing raster separator")
+    count = width * height
+    if len(buf) - pos - 1 < count * dtype.itemsize:
+        raise TruncatedData(f"{path}: raster shorter than {width}x{height}")
+    return np.frombuffer(buf, dtype=dtype, count=count,
+                         offset=pos + 1).astype(np.float64)
+
+
 def load_gray(path) -> GrayImage:
     """Load a PGM (P2/P5) or grayscale PFM file."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from None
+    buf = read_file(path)
     try:
         magic, pos = _next_token(buf, 0)
     except CorruptHeader:
@@ -148,40 +167,32 @@ def load_gray(path) -> GrayImage:
 
 
 def _load_pgm(buf: bytes, pos: int, magic: bytes, path) -> GrayImage:
-    width, pos = _int_token(buf, pos, "width")
-    height, pos = _int_token(buf, pos, "height")
-    maxval, pos = _int_token(buf, pos, "maxval")
+    width, pos = _next_token(buf, pos, "width")
+    height, pos = _next_token(buf, pos, "height")
+    maxval, pos = _next_token(buf, pos, "maxval")
     if width < 1 or height < 1:
         raise CorruptHeader(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise CorruptHeader(f"{path}: maxval {maxval} out of range")
-    count = width * height
     if magic == b"P5":
-        if pos >= len(buf) or buf[pos] not in _WHITESPACE:
-            raise CorruptHeader(f"{path}: missing raster separator")
-        raster = buf[pos + 1:]
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        if len(raster) < count * dtype.itemsize:
-            raise TruncatedData(f"{path}: raster shorter than {width}x{height}")
-        data = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
+        data = _raster(buf, pos, dtype, width, height, path)
     else:
-        values = []
-        while len(values) < count:
-            pos = _skip_blank(buf, pos)
-            if pos >= len(buf):
-                raise TruncatedData(
-                    f"{path}: {len(values)} samples, expected {count}")
-            v, pos = _int_token(buf, pos, "sample")
-            values.append(v)
-        data = np.array(values, dtype=np.float64)
+        count = width * height
+        # only the end of the data gives an empty token
+        tokens = [m[1] for m in itertools.islice(_TOKEN.finditer(buf, pos),
+                                                 count) if m[1]]
+        data = np.array([_int(t, "sample") for t in tokens], dtype=np.float64)
+        if data.size < count:
+            raise TruncatedData(f"{path}: {data.size} samples, expected {count}")
     if data.min() < 0 or data.max() > maxval:
         raise CorruptHeader(f"{path}: sample outside [0, {maxval}]")
     return GrayImage(data.reshape(height, width), maxval=float(maxval))
 
 
 def _load_pfm(buf: bytes, pos: int, path) -> GrayImage:
-    width, pos = _int_token(buf, pos, "width")
-    height, pos = _int_token(buf, pos, "height")
+    width, pos = _next_token(buf, pos, "width")
+    height, pos = _next_token(buf, pos, "height")
     tok, pos = _next_token(buf, pos)
     try:
         scale = float(tok)
@@ -189,14 +200,8 @@ def _load_pfm(buf: bytes, pos: int, path) -> GrayImage:
         raise CorruptHeader(f"{path}: bad scale {tok!r}") from None
     if width < 1 or height < 1 or scale == 0.0:
         raise CorruptHeader(f"{path}: bad PFM header")
-    if pos >= len(buf) or buf[pos] not in _WHITESPACE:
-        raise CorruptHeader(f"{path}: missing raster separator")
-    raster = buf[pos + 1:]
-    count = width * height
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    if len(raster) < count * dtype.itemsize:
-        raise TruncatedData(f"{path}: raster shorter than {width}x{height}")
-    data = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
+    data = _raster(buf, pos, dtype, width, height, path)
     if not np.isfinite(data).all():
         raise UnsupportedFormat(f"{path}: non-finite samples")
     pixels = np.flipud(data.reshape(height, width))  # PFM rows run bottom-up
@@ -212,48 +217,30 @@ def save_pgm(image: GrayImage, path, maxval: int | None = None) -> None:
     data = np.clip(np.rint(image.pixels), 0, maxval)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(data.astype(dtype).tobytes())
-    except OSError as exc:
-        raise WriteFailure(f"{path}: {exc}") from None
+    write_file(path, header, data.astype(dtype).tobytes())
 
 
 def save_pfm(image: GrayImage, path) -> None:
     """Write a little-endian grayscale PFM (scale -1)."""
     header = f"Pf\n{image.width} {image.height}\n-1.0\n".encode("ascii")
-    data = np.flipud(image.pixels).astype("<f4")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(data.tobytes())
-    except OSError as exc:
-        raise WriteFailure(f"{path}: {exc}") from None
+    write_file(path, header, np.flipud(image.pixels).astype("<f4").tobytes())
 
 
 def save_disparity(dmap: DisparityMap, data_path) -> None:
     """Write the tab-separated text form; rejected cells become "NaN"."""
-    acc = dmap.accepted
     lines = []
-    for y in range(dmap.height):
-        row = [str(int(d)) if a else "NaN"
-               for a, d in zip(acc[y], dmap.disparity[y])]
-        lines.append("\t".join(row))
-    try:
-        with open(data_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise WriteFailure(f"{data_path}: {exc}") from None
+    for acc, disp in zip(dmap.accepted.tolist(), dmap.disparity.tolist()):
+        lines.append("\t".join([str(d) if a else "NaN"
+                                for a, d in zip(acc, disp)]) + "\n")
+    write_file(data_path, "".join(lines).encode("ascii"))
 
 
 def load_disparity(path) -> DisparityMap:
-    """Read the text form back; rejection reasons and nfa are not recoverable."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln != ""]
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from None
+    """Read the text form back; rejection reasons and nfa are not recoverable.
+    CRLF, CR and LF each end a row; the file must be ASCII."""
+    text = read_file(path).decode("ascii")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
         raise CorruptHeader(f"{path}: empty disparity file")
     rows = [ln.split("\t") for ln in lines]

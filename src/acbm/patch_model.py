@@ -17,8 +17,8 @@ import numpy as np
 from . import bands
 from .errors import (BlockOutOfBounds, CorruptHeader, DimensionMismatch,
                      EigenNoConvergence, ImageTooSmall, TruncatedData,
-                     UnreadableFile, UnsupportedFormat, WriteFailure)
-from .imgio import GrayImage
+                     UnsupportedFormat)
+from .imgio import GrayImage, read_file, write_file
 
 BASIS_MAGIC = b"ACBM1"
 _JACOBI_TOL = 1e-12
@@ -324,24 +324,14 @@ def save_basis(basis: PatchBasis, path) -> None:
     """Binary container: magic "ACBM1", two little-endian uint32 (block_side,
     s), then mean block, eigenvector rows and eigenvalues as little-endian
     float64."""
-    s = basis.size
-    try:
-        with open(path, "wb") as fh:
-            fh.write(BASIS_MAGIC)
-            fh.write(np.array([basis.block_side, s], dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(basis.mean_block, "<f8").tobytes())
-            fh.write(np.ascontiguousarray(basis.eigenvectors, "<f8").tobytes())
-            fh.write(np.ascontiguousarray(basis.eigenvalues, "<f8").tobytes())
-    except OSError as exc:
-        raise WriteFailure(f"{path}: {exc}") from None
+    write_file(path, BASIS_MAGIC,
+               np.array([basis.block_side, basis.size], dtype="<u4").tobytes(),
+               *(np.ascontiguousarray(a, "<f8").tobytes() for a in
+                 (basis.mean_block, basis.eigenvectors, basis.eigenvalues)))
 
 
 def load_basis(path) -> PatchBasis:
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from None
+    buf = read_file(path)
     if not buf.startswith(BASIS_MAGIC):
         raise UnsupportedFormat(f"{path}: bad magic {buf[:5]!r}")
     if len(buf) < len(BASIS_MAGIC) + 8:

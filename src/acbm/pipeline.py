@@ -264,28 +264,24 @@ def match_pixel(q: tuple[int, int], model: BackgroundModel,
     return MatchDecision(q, CellState.ACCEPTED, best.disparity, best.nfa)
 
 
+def _neighborhood(a: np.ndarray) -> np.ndarray:
+    """(9, h, w): each cell's 3x3 neighbors in row-major order, 0 outside."""
+    h, w = a.shape
+    p = np.pad(a, 1)
+    return np.stack([p[dy:dy + h, dx:dx + w]
+                     for dy in range(3) for dx in range(3)])
+
+
 def densify_median(dmap: DisparityMap) -> DisparityMap:
     """One median pass: a rejected non-Border pixel with at least 5 accepted
     cells in its 3x3 neighborhood becomes accepted with their lower median
     disparity and the smallest nfa among them.  Reads only the incoming
     accepted set, so fills never chain; Border stays Border."""
-    h, w = dmap.height, dmap.width
     acc = dmap.accepted
-    pad_acc = np.pad(acc, 1)
-    pad_disp = np.pad(dmap.disparity, 1)
-    pad_nfa = np.pad(dmap.nfa, 1, constant_values=np.inf)
-    vals = np.full((9, h, w), np.inf)
-    nfas = np.full((9, h, w), np.inf)
-    k = 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            a = pad_acc[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-            vals[k] = np.where(a, pad_disp[1 + dy:1 + dy + h,
-                                           1 + dx:1 + dx + w], np.inf)
-            nfas[k] = np.where(a, pad_nfa[1 + dy:1 + dy + h,
-                                          1 + dx:1 + dx + w], np.inf)
-            k += 1
-    count = np.isfinite(vals).sum(axis=0)
+    near = _neighborhood(acc)   # False outside the image
+    vals = np.where(near, _neighborhood(dmap.disparity), np.inf)
+    nfas = np.where(near, _neighborhood(dmap.nfa), np.inf)
+    count = near.sum(axis=0)
     fill = (~acc) & (dmap.state != CellState.BORDER) & (count >= 5)
     vals.sort(axis=0)
     lower_median = np.take_along_axis(

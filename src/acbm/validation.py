@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, core, patch_model, pipeline
-from .errors import DimensionMismatch, UnreadableFile
-from .imgio import DisparityMap, GrayImage, load_disparity, load_gray
+from .errors import DimensionMismatch
+from .imgio import (DisparityMap, GrayImage, load_disparity, load_gray,
+                    read_file)
 from .self_sim import window_sums
 
 
@@ -174,12 +175,7 @@ def load_ground_truth(path, mask_path=None, scale: float = 1.0,
     """Ground truth from an image file (disparity = (value - offset)/scale)
     or from the disparity text format (values verbatim, NaN = invalid).
     An optional mask image marks zero pixels invalid."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(2)
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from None
-    if magic in (b"P2", b"P5", b"Pf"):
+    if read_file(path)[:2] in (b"P2", b"P5", b"Pf"):
         img = load_gray(path)
         if scale == 0:
             raise ValueError("scale must be non-zero")

@@ -158,6 +158,16 @@ def test_file_errors_exit_2(tmp_path):
     assert main(["match", str(bad), str(bad), "--range", "2"]) == 2
 
 
+def test_write_errors_exit_2(shift_pair, tmp_path):
+    missing = tmp_path / "missing"
+    assert main(["match", shift_pair["left.pgm"], shift_pair["right.pgm"],
+                 "--range", "2", "--block", "5",
+                 "--out", str(missing / "d.tsv")]) == 2
+    assert main(["synth-noise", "--width", "32", "--height", "24",
+                 "--out-left", str(missing / "l.pgm"),
+                 "--out-right", str(tmp_path / "r.pgm")]) == 2
+
+
 def test_model_errors_exit_3(tmp_path):
     # mismatched heights cannot be matched
     save_pgm(gen_texture(32, 24, seed=1), str(tmp_path / "a.pgm"))

@@ -9,7 +9,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from acbm import core
 from acbm.core import (
     AcbmParams,
     count_nondecreasing,

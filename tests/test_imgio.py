@@ -7,6 +7,7 @@ from acbm.errors import (
     TruncatedData,
     UnreadableFile,
     UnsupportedFormat,
+    WriteFailure,
 )
 from acbm.imgio import (
     CellState,
@@ -72,6 +73,14 @@ def test_pgm_ascii_truncated_at_end_of_data(tmp_path, data):
     path = tmp_path / "short.pgm"
     path.write_bytes(data)
     with pytest.raises(TruncatedData):
+        load_gray(path)
+
+
+def test_pgm_ascii_bad_sample_before_running_short(tmp_path):
+    # a bad sample among those present wins over the missing ones
+    path = tmp_path / "bad_then_short.pgm"
+    path.write_bytes(b"P2\n2 2 255\n1 x\n")
+    with pytest.raises(CorruptHeader, match="bad sample: b'x'"):
         load_gray(path)
 
 
@@ -198,6 +207,15 @@ def test_disparity_round_trip(tmp_path):
     assert np.isnan(back.nfa).all()
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_disparity_crlf_and_cr_end_rows(tmp_path, newline):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"1\tNaN" + newline + b"-2\t3" + newline)
+    back = load_disparity(path)
+    assert back.state.tolist() == [[0, 1], [0, 0]]
+    assert back.disparity.tolist() == [[1, 0], [-2, 3]]
+
+
 def test_disparity_ragged_rejected(tmp_path):
     path = tmp_path / "ragged.tsv"
     path.write_text("1\t2\n3\n")
@@ -222,6 +240,21 @@ def test_disparity_empty(tmp_path):
 def test_disparity_missing_file(tmp_path):
     with pytest.raises(UnreadableFile):
         load_disparity(tmp_path / "missing.tsv")
+
+
+# ------------------------------------------------------------ write errors
+
+@pytest.mark.parametrize("save", [
+    lambda path: save_pgm(GrayImage(np.zeros((2, 3))), path),
+    lambda path: save_pfm(GrayImage(np.zeros((2, 3))), path),
+    lambda path: save_disparity(small_map(), path),
+    lambda path: save_disparity_viz(small_map(), path),
+], ids=["pgm", "pfm", "disparity", "viz"])
+def test_save_into_missing_directory(tmp_path, save):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(WriteFailure) as excinfo:
+        save(path)
+    assert str(path) in str(excinfo.value)
 
 
 # ----------------------------------------------------------------- viz

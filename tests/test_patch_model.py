@@ -11,6 +11,7 @@ from acbm.errors import (
     ImageTooSmall,
     TruncatedData,
     UnsupportedFormat,
+    WriteFailure,
 )
 from acbm.imgio import GrayImage
 from acbm.patch_model import (
@@ -558,6 +559,14 @@ def test_basis_round_trip(tmp_path, texture_model):
     assert np.array_equal(loaded.mean_block, model.basis.mean_block)
     assert np.array_equal(loaded.eigenvectors, model.basis.eigenvectors)
     assert np.array_equal(loaded.eigenvalues, model.basis.eigenvalues)
+
+
+def test_basis_save_into_missing_directory(tmp_path, texture_model):
+    _, model = texture_model
+    path = tmp_path / "missing" / "model.basis"
+    with pytest.raises(WriteFailure) as excinfo:
+        save_basis(model.basis, path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_basis_bad_magic(tmp_path):

@@ -534,3 +534,40 @@ def test_densify_odd_count_exact_median():
     out = densify_median(map_from_states(state, disp))
     # six neighbors (9,7,5,3,1,8) -> sorted (1,3,5,7,8,9), lower median 5
     assert out.disparity[1, 1] == 5
+
+
+def densify_oracle(dmap):
+    """densify_median written one pixel at a time."""
+    state, disparity, nfa = (dmap.state.copy(), dmap.disparity.copy(),
+                             dmap.nfa.copy())
+    for y in range(dmap.height):
+        for x in range(dmap.width):
+            if dmap.state[y, x] in (CellState.ACCEPTED, CellState.BORDER):
+                continue
+            near = [(dmap.disparity[v, u], dmap.nfa[v, u])
+                    for v in range(max(y - 1, 0), min(y + 2, dmap.height))
+                    for u in range(max(x - 1, 0), min(x + 2, dmap.width))
+                    if dmap.state[v, u] == CellState.ACCEPTED]
+            if len(near) >= 5:
+                ds = sorted(d for d, _ in near)
+                state[y, x] = CellState.ACCEPTED
+                disparity[y, x] = ds[(len(ds) - 1) // 2]
+                nfa[y, x] = min(f for _, f in near)
+    return state, disparity, nfa
+
+
+def test_densify_matches_per_pixel_oracle():
+    rng = np.random.default_rng(41)
+    sizes = [(1, 1), (1, 40), (40, 1), (40, 40)]
+    sizes += [tuple(rng.integers(1, 41, size=2)) for _ in range(16)]
+    for h, w in sizes:
+        state = rng.choice(np.array(list(CellState), dtype=np.uint8),
+                           size=(h, w), p=[0.6, 0.2, 0.1, 0.1])
+        disparity = rng.integers(-20, 21, size=(h, w))
+        nfa = np.where(state == CellState.ACCEPTED,
+                       10.0 ** rng.uniform(-12, 0, size=(h, w)), np.nan)
+        out = densify_median(map_from_states(state, disparity, nfa))
+        want = densify_oracle(map_from_states(state, disparity, nfa))
+        assert out.state.tobytes() == want[0].tobytes(), (h, w)
+        assert out.disparity.tobytes() == want[1].tobytes(), (h, w)
+        assert out.nfa.tobytes() == want[2].tobytes(), (h, w)

@@ -7,7 +7,7 @@ import pytest
 from acbm import (AcbmParams, bands, core, evaluate, gen_noise_pair,
                   gen_texture, patch_model, pipeline)
 from acbm.errors import DimensionMismatch
-from acbm.imgio import CellState, DisparityMap, GrayImage, save_pgm
+from acbm.imgio import DisparityMap, GrayImage, save_pgm
 from acbm.patch_model import BackgroundModel, learn_background_model
 from acbm.validation import (
     GroundTruth,
