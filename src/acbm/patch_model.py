@@ -3,9 +3,11 @@
 A square block of side b is flattened row-major into a vector of s = b*b
 samples.  The model is a PCA basis learned from every complete block of a
 training image (mean block, eigenvectors and eigenvalues of the block
-covariance) together with one empirical CDF per component: row i of an
-(s, m) table holds component i's m training coefficients, sorted.  Blocks
-are centered on the mean before projection.
+covariance) together with one empirical CDF per component it holds: row i
+of a (u, m) table holds component components[i]'s m training coefficients,
+sorted.  A model learned whole holds all s components; a matcher may build
+one that holds only the components its reference tests.  Blocks are
+centered on the mean before projection.
 """
 from __future__ import annotations
 
@@ -41,16 +43,37 @@ class PatchBasis:
 
 @dataclass(eq=False)
 class BackgroundModel:
-    """Basis plus cdfs: row i of that (s, m) table sorts component i's m
-    training coefficients."""
+    """Basis plus cdfs: row i of that (u, m) table sorts the m training
+    coefficients of component components[i].  components ascends and
+    defaults to all s components of the basis."""
 
     basis: PatchBasis
     cdfs: np.ndarray
+    components: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.cdfs) != self.basis.size:
-            raise DimensionMismatch(f"{len(self.cdfs)} CDFs for basis size "
-                                    f"{self.basis.size}")
+        s = self.basis.size
+        self.components = c = np.arange(s) if self.components is None \
+            else np.asarray(self.components)
+        if not (c.ndim == 1 and c.size and 0 <= c[0] and c[-1] < s
+                and (c[:-1] < c[1:]).all()):
+            raise DimensionMismatch(f"components must be ascending indices "
+                                    f"below the basis size {s}")
+        if len(self.cdfs) != len(c):
+            raise DimensionMismatch(f"{len(self.cdfs)} CDFs for {len(c)} "
+                                    f"components")
+
+    def slots(self, order: np.ndarray) -> np.ndarray:
+        """Rows of the cdfs table that hold the components in order (any
+        shape), in the smallest unsigned type that holds u.  Raises
+        DimensionMismatch when the model lacks one of them."""
+        u = len(self.components)
+        rows = np.full(self.basis.size, u, dtype=np.min_scalar_type(u))
+        rows[self.components] = np.arange(u)
+        slots = rows[order]
+        if (slots == u).any():
+            raise DimensionMismatch("the model lacks a component of order")
+        return slots
 
 
 def extract_block(image: GrayImage, q: tuple[int, int], block_side: int) -> np.ndarray:
@@ -214,31 +237,48 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
     return coeffs[0] if single else coeffs
 
 
-def training_ranks(basis: PatchBasis,
-                   image: GrayImage) -> tuple[BackgroundModel, np.ndarray]:
-    """Empirical CDF of each component over every complete block of the
-    image, and every block's own CDF values as integer ranks.
-
-    Returns (model, ranks).  ranks is an (m, s) table in interior_blocks
-    order, of the smallest unsigned type that holds m; column i over m
-    equals cdf_eval(model.cdfs[i], value) bit for bit at every training
-    value, because a training value's CDF value is its last-occurrence rank
-    over m.  The image is projected in row bands straight into the model's
-    (s, m) table; one pool task per component then sorts its row in place.
-    """
+def training_values(basis: PatchBasis, image: GrayImage,
+                    components: np.ndarray) -> np.ndarray:
+    """(u, m) table: row i holds the coefficient of component components[i]
+    at every complete block of the image, in interior_blocks order.  Each
+    row band is projected on the whole basis, so every value has the same
+    bits whichever components are kept."""
     side = basis.block_side
     hi, wi = interior_shape(image, side)
-    m, s = hi * wi, basis.size
+    m = hi * wi
     if m < 2:
         raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
     # allocated here, not in the tasks: memory that a worker thread
     # allocates and that outlives its task stays in that thread's arena
-    sorted_values = np.empty((s, m))
-    ranks = np.empty((m, s), dtype=np.min_scalar_type(m))
+    values = np.empty((len(components), m))
 
     def band(rows):
-        sorted_values[:, rows.start * wi:rows.stop * wi] = project(
-            basis, interior_blocks(image, side, rows)).T
+        coeffs = project(basis, interior_blocks(image, side, rows))
+        values[:, rows.start * wi:rows.stop * wi] = coeffs[:, components].T
+
+    bands.run_bands(band, hi)
+    return values
+
+
+def training_ranks(basis: PatchBasis, image: GrayImage,
+                   components: np.ndarray | None = None,
+                   ) -> tuple[BackgroundModel, np.ndarray]:
+    """Empirical CDF of each of the given components (default: all of them)
+    over every complete block of the image, and every block's own CDF values
+    as integer ranks.
+
+    Returns (model, ranks).  ranks is an (m, u) table in interior_blocks
+    order, of the smallest unsigned type that holds m; column i over m
+    equals cdf_eval(model.cdfs[i], value) bit for bit at every training
+    value of component components[i], because a training value's CDF value
+    is its last-occurrence rank over m.  One pool task per component sorts
+    its row of training_values in place.
+    """
+    if components is None:
+        components = np.arange(basis.size)
+    sorted_values = training_values(basis, image, components)
+    m = sorted_values.shape[1]
+    ranks = np.empty((m, len(components)), dtype=np.min_scalar_type(m))
 
     def component(i):
         sv = sorted_values[i]
@@ -253,9 +293,8 @@ def training_ranks(basis: PatchBasis,
         column[perm] = np.repeat(ends, np.diff(ends, prepend=0))
         ranks[:, i] = column
 
-    bands.run_bands(band, hi)
-    bands.run_parallel(component, range(s))
-    return BackgroundModel(basis, sorted_values), ranks
+    bands.run_parallel(component, range(len(components)))
+    return BackgroundModel(basis, sorted_values, components), ranks
 
 
 def cdf_eval(sorted_values: np.ndarray, value):
@@ -311,13 +350,16 @@ def sample_coefficients(cdfs: np.ndarray, rng: np.random.Generator,
 
 def learn_background_model(image: GrayImage, block_side: int = 9,
                            basis: PatchBasis | None = None) -> BackgroundModel:
-    """Basis (learned from the image unless given) plus that image's CDFs."""
+    """Basis (learned from the image unless given) plus that image's CDFs
+    of all s components."""
     if basis is None:
         basis = compute_patch_basis(image, block_side)
     elif basis.block_side != block_side:
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"requested {block_side}")
-    return training_ranks(basis, image)[0]
+    cdfs = training_values(basis, image, np.arange(basis.size))
+    bands.run_parallel(lambda i: cdfs[i].sort(), range(basis.size))
+    return BackgroundModel(basis, cdfs)
 
 
 def save_basis(basis: PatchBasis, path) -> None:

@@ -53,32 +53,56 @@ class CandidateScore:
     cross_ssd: float
 
 
-def reference_tables(image: GrayImage, model: BackgroundModel,
-                     num_components: int):
+def component_order(image: GrayImage, basis: PatchBasis,
+                    num_components: int) -> np.ndarray:
     """Per interior pixel (row-major grid): indices of the num_components
-    locally dominant components and the background CDF values of the
-    reference coefficients there.  Returns (order, h_ref) of shape (n, N),
-    order in the smallest unsigned type that holds s - 1.  Row bands run on
-    the band pool and fill the two tables."""
-    basis = model.basis
+    locally dominant components, an (n, N) table in the smallest unsigned
+    type that holds s - 1.  Row bands run on the band pool."""
     side = basis.block_side
     hi, wi = patch_model.interior_shape(image, side)
     order = np.empty((hi * wi, num_components),
                      dtype=np.min_scalar_type(basis.size - 1))
-    h_ref = np.empty((hi * wi, num_components))
+
+    def band(rows):
+        order[rows.start * wi:rows.stop * wi] = core.top_components(
+            patch_model.project(
+                basis, patch_model.interior_blocks(image, side, rows)),
+            num_components)
+
+    bands.run_bands(band, hi)
+    return order
+
+
+def reference_tables(image: GrayImage, model: BackgroundModel,
+                     order: np.ndarray):
+    """Background CDF values of the reference coefficients of the components
+    in order (from component_order).  Returns (slots, h_ref) of shape
+    (n, N): slots is order as rows of the model's tables (model.slots), and
+    h_ref[k, j] is the CDF value of component order[k, j] at pixel k.
+    Raises DimensionMismatch when the model lacks a component of order.
+    Row bands run on the band pool; each evaluates every CDF the model
+    holds over all pixels of its band."""
+    basis = model.basis
+    side = basis.block_side
+    hi, wi = patch_model.interior_shape(image, side)
+    if order.shape[0] != hi * wi:
+        raise DimensionMismatch(f"order has {order.shape[0]} rows for "
+                                f"{hi * wi} interior pixels")
+    slots = model.slots(order)
+    h_ref = np.empty(order.shape)
 
     def band(rows):
         cells = slice(rows.start * wi, rows.stop * wi)
         coeffs = patch_model.project(
             basis, patch_model.interior_blocks(image, side, rows))
-        order[cells] = core.top_components(coeffs, num_components)
-        # the chosen components are known: CDF values replace coefficients
-        for i, cdf in enumerate(model.cdfs):
-            coeffs[:, i] = patch_model.cdf_eval(cdf, coeffs[:, i])
-        h_ref[cells] = np.take_along_axis(coeffs, order[cells], axis=1)
+        # CDF values replace coefficients: components ascend, so column j
+        # is overwritten only after column components[j] >= j was read
+        for j, (i, cdf) in enumerate(zip(model.components, model.cdfs)):
+            coeffs[:, j] = patch_model.cdf_eval(cdf, coeffs[:, i])
+        h_ref[cells] = np.take_along_axis(coeffs, slots[cells], axis=1)
 
     bands.run_bands(band, hi)
-    return order, h_ref
+    return slots, h_ref
 
 
 def candidate_nfa_block(hq: np.ndarray, hqp: np.ndarray, n_test: int,
@@ -118,17 +142,19 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"params block side {side}")
 
-    model, ranks = patch_model.training_ranks(basis, secondary)
-    order, hq = reference_tables(reference, model, params.num_components)
-    del model   # the scan reads the secondary's ranks only
+    # tables only for the secondary components the reference tests
+    order = component_order(reference, basis, params.num_components)
+    model, ranks = patch_model.training_ranks(basis, secondary,
+                                              np.unique(order))
+    slots, hq = reference_tables(reference, model, order)
+    del model, order   # the scan reads the secondary's ranks only
 
     hi = reference.height - side + 1
     wi_r = reference.width - side + 1
     wi_s = secondary.width - side + 1
-    s = basis.size
-    ord3 = order.reshape(hi, wi_r, params.num_components)
+    m, u = ranks.shape
+    slot3 = slots.reshape(hi, wi_r, params.num_components)
     hq3 = hq.reshape(hi, wi_r, params.num_components)
-    m = ranks.shape[0]
     flat_ranks = ranks.reshape(-1)
     n_test = core.number_of_tests(reference.width * reference.height, params)
 
@@ -155,15 +181,15 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         band_nfa, band_cross = best_nfa[rows], best_cross[rows]
         band_d = best_d[rows]
         band_metric = band_cross if by_ssd else band_nfa
-        # flat index of (secondary block at disparity 0, component) in
-        # ranks; disparity d adds d * s
+        # flat index of (secondary block at disparity 0, slot) in ranks;
+        # disparity d adds d * u
         y = np.arange(rows.start, rows.stop)[:, None, None]
         x = np.arange(wi_r)[None, :, None]
-        at_zero = (y * wi_s + x) * s + ord3[rows]
+        at_zero = (y * wi_s + x) * u + slot3[rows]
         hq_band = hq3[rows]
         for d, lo, hi_col in spans:
             # a secondary block's CDF value is its rank over m
-            hqp = np.take(flat_ranks, at_zero[:, lo:hi_col] + d * s) / m
+            hqp = np.take(flat_ranks, at_zero[:, lo:hi_col] + d * u) / m
             nfa_d = candidate_nfa_block(hq_band[:, lo:hi_col], hqp, n_test,
                                         params.num_levels)
             if need_cross:
@@ -225,8 +251,8 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     coeffs = np.array([patch_model.project(model.basis, b)
                        for b in [block_q] + blocks])
     order = core.top_components(coeffs[:1], params.num_components)[0]
-    h = np.stack([patch_model.cdf_eval(model.cdfs[i], coeffs[:, i])
-                  for i in order], axis=1)
+    h = np.stack([patch_model.cdf_eval(model.cdfs[j], coeffs[:, i])
+                  for i, j in zip(order, model.slots(order))], axis=1)
     n_test = core.number_of_tests(reference.width * reference.height, params)
     levels = core.quantize_array(core.resemblance_probability(h[0], h[1:]),
                                  params.num_levels)

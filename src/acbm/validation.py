@@ -113,21 +113,27 @@ def monte_carlo_false_alarms(image: GrayImage,
     Each sampled block is rebuilt and projected again before its CDF values
     are taken, as a real candidate would be; under tied training values that
     round trip does not return the uniform draws.  A component's CDF is
-    evaluated only at the pixels that test it."""
+    evaluated only at the pixels that test it.  Raises DimensionMismatch
+    unless the model holds all s components: a drawn block needs each."""
     if trials < 1:
         raise ValueError("need at least one trial")
     basis, cdfs = model.basis, model.cdfs
     if basis.block_side != params.block_side:
         raise DimensionMismatch(f"model block side {basis.block_side} != "
                                 f"params block side {params.block_side}")
+    if len(cdfs) != basis.size:
+        raise DimensionMismatch(f"sampling a block needs all {basis.size} "
+                                f"components, the model holds {len(cdfs)}")
     hi, wi = patch_model.interior_shape(image, basis.block_side)
-    order, hq = pipeline.reference_tables(image, model, params.num_components)
+    order = pipeline.component_order(image, basis, params.num_components)
+    _, hq = pipeline.reference_tables(image, model, order)
     n_ref = hi * wi
     n_test = core.number_of_tests(image.width * image.height, params)
     rounds = 2 * params.search_radius + 1
 
     # the flat hqp cells that test each component and the pixels they read;
-    # order comes from the reference, so this holds for every round
+    # order comes from the reference, so this holds for every round, and
+    # component i's CDF is row i of the whole model's table
     flat_order = order.reshape(-1)
     by_component = np.argsort(flat_order, kind="stable")
     ends = np.searchsorted(flat_order[by_component], np.arange(basis.size),

@@ -471,6 +471,40 @@ def test_training_ranks_match_cdf_eval(image, dtype):
             cdf_eval(cdf, column).tobytes(), i
 
 
+@pytest.mark.parametrize("image, dtype", [
+    (saturated_square(23, 2, 21), np.uint8),        # 225 blocks
+    (saturated_square(96), np.uint16),
+    (saturated_square(264, 20, 244), np.uint32),     # 65536 blocks
+], ids=["uint8", "uint16", "uint32"])
+def test_training_ranks_on_components_equal_full_rows(image, dtype):
+    basis = compute_patch_basis(saturated_square(96), 9)
+    full, full_ranks = training_ranks(basis, image)
+    for components in ([0], [2, 3, 40, 80], np.arange(0, 81, 2)):
+        components = np.array(components)
+        model, ranks = training_ranks(basis, image, components)
+        assert model.basis is basis
+        assert np.array_equal(model.components, components)
+        assert ranks.dtype == full_ranks.dtype == dtype
+        assert model.cdfs.shape == (components.size, full.cdfs.shape[1])
+        assert model.cdfs.tobytes() == full.cdfs[components].tobytes()
+        assert ranks.shape == (full_ranks.shape[0], components.size)
+        assert ranks.tobytes() == \
+            np.ascontiguousarray(full_ranks[:, components]).tobytes()
+
+
+@pytest.mark.parametrize("image", [
+    gen_texture(96, 96, seed=5), saturated_square(96),
+    GrayImage(np.full((40, 40), 90.0)),
+], ids=["texture", "saturated", "constant"])
+def test_learned_model_equals_training_ranks_model(image):
+    # the two sort differently and could place -0.0 and 0.0 apart: bytes
+    basis = compute_patch_basis(saturated_square(96), 9)
+    model = learn_background_model(image, 9, basis=basis)
+    assert np.array_equal(model.components, np.arange(81))
+    assert model.cdfs.tobytes() == \
+        training_ranks(basis, image)[0].cdfs.tobytes()
+
+
 def test_training_ranks_need_two_blocks():
     basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
     with pytest.raises(ImageTooSmall):

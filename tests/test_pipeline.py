@@ -16,8 +16,8 @@ from acbm.patch_model import (BackgroundModel, PatchBasis, cdf_eval,
                                compute_patch_basis, interior_blocks,
                                learn_background_model, project,
                                training_ranks)
-from acbm.pipeline import (candidate_nfa_block, reference_tables,
-                           scan_candidates)
+from acbm.pipeline import (candidate_nfa_block, component_order,
+                           reference_tables, scan_candidates)
 from acbm.validation import gen_texture, gen_translated_pair
 
 
@@ -265,13 +265,19 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
     model, _ = training_ranks(basis, sec)
     for count in (5, 9, 25):
-        order, h_ref = reference_tables(ref, model, count)
+        order = component_order(ref, basis, count)
         want_order, want_h = oracle_reference_tables(ref, basis, model.cdfs,
                                                      count)
         assert order.shape == want_order.shape == (86 * 44, count)
         assert order.dtype == np.uint8
         assert np.array_equal(order, want_order)
-        assert h_ref.tobytes() == want_h.tobytes()
+        # the whole model and one that holds only the components order uses
+        used, _ = training_ranks(basis, sec, np.unique(order))
+        for tables in (model, used):
+            slots, h_ref = reference_tables(ref, tables, order)
+            assert slots.shape == order.shape and slots.dtype == np.uint8
+            assert np.array_equal(tables.components[slots], order)
+            assert h_ref.tobytes() == want_h.tobytes()
 
 
 @pytest.mark.parametrize("count", [20, 30])
@@ -279,9 +285,40 @@ def test_reference_tables_rejects_wrong_cdf_count(count):
     # the model checks its own size: a wrong one is never built
     img = gen_texture(40, 40, seed=1)
     model = learn_background_model(img, 5)
+    order = component_order(img, model.basis, 9)
     cdfs = np.resize(model.cdfs, (count, model.cdfs.shape[1]))
     with pytest.raises(DimensionMismatch):
-        reference_tables(img, BackgroundModel(model.basis, cdfs), 9)
+        reference_tables(img, BackgroundModel(model.basis, cdfs), order)
+
+
+def test_model_missing_a_needed_component_is_rejected(small_pair):
+    ref, sec, params, model = small_pair
+    order = component_order(ref, model.basis, params.num_components)
+    used = np.unique(order)
+    assert used.size > 1
+    for lost in (used[0], used[-1]):
+        partial, _ = training_ranks(model.basis, sec, used[used != lost])
+        with pytest.raises(DimensionMismatch):
+            reference_tables(ref, partial, order)
+        # a pixel whose top components include the lost one
+        k = np.flatnonzero((order == lost).any(axis=1))[0]
+        y, x = divmod(int(k), ref.width - params.block_side + 1)
+        half = params.block_side // 2
+        with pytest.raises(DimensionMismatch):
+            match_pixel((x + half, y + half), partial, params, ref, sec)
+    # a model that holds what a pixel tests decides as the whole one
+    partial, _ = training_ranks(model.basis, sec, used)
+    for q in [(6, 5), (20, 14), (33, 24)]:
+        assert match_pixel(q, partial, params, ref, sec) == \
+            match_pixel(q, model, params, ref, sec)
+
+
+@pytest.mark.parametrize("components", [[], [3, 1], [0, 0], [-1, 2], [25]])
+def test_model_components_must_ascend_inside_the_basis(components):
+    basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
+    with pytest.raises(DimensionMismatch):
+        BackgroundModel(basis, np.zeros((len(components), 4)),
+                        np.array(components, dtype=int))
 
 
 def test_match_pair_repeats_byte_for_byte(banded_pair):
@@ -348,7 +385,7 @@ def test_match_pixel_agrees_at_block_17():
     params = AcbmParams(search_radius=3, block_side=17, num_components=12)
     basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
     model = learn_background_model(sec, 17, basis=basis)
-    order, _ = reference_tables(ref, model, 12)
+    order = component_order(ref, basis, 12)
     assert order.dtype == np.uint16 and order.max() > 255
     probes = [(x, y) for y in (8, 28, 39) for x in range(8, 36, 3)]
     states = set()
@@ -405,8 +442,10 @@ def test_match_pair_memory_bound(monkeypatch):
     """tracemalloc peaks of the two phases of a 192x192 match_pair, run on
     the calling thread so that they do not depend on the core count.
     Basis: one (n, s) float64 table, 22 MB (two tables took 44 MB).  Model
-    and scan: sorted values, integer ranks and the band tables, 44 MB (a
-    float CDF-value table in place of the ranks took 63 MB)."""
+    and scan: sorted values and integer ranks of the 51 of 81 components
+    the reference uses, and the band tables, 33 MB (44 MB with all 81
+    components, 63 MB with a float CDF-value table in place of the
+    ranks)."""
     monkeypatch.setattr(bands, "run_parallel",
                         lambda task, items: [task(item) for item in items])
     ref = gen_texture(192, 192, seed=7)
@@ -423,7 +462,7 @@ def test_match_pair_memory_bound(monkeypatch):
         tracemalloc.stop()
     assert dmap.accepted.any()
     assert basis_peak < 33e6
-    assert match_peak < 53e6
+    assert match_peak < 40e6
 
 
 def test_match_pixel_no_candidates():

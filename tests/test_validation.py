@@ -225,10 +225,24 @@ def test_monte_carlo_rejects_wrong_cdf_count(saturated_model, count):
                                  AcbmParams(search_radius=2), trials=1)
 
 
+def test_monte_carlo_rejects_a_partial_model(saturated_model):
+    # a drawn block needs every component, used by the reference or not
+    img, model = saturated_model
+    params = AcbmParams(search_radius=2)
+    order = pipeline.component_order(img, model.basis, params.num_components)
+    used = np.unique(order)
+    assert used.size < 81
+    for components in (used, np.delete(np.arange(81), used[0])):
+        partial, _ = patch_model.training_ranks(model.basis, img, components)
+        with pytest.raises(DimensionMismatch):
+            monte_carlo_false_alarms(img, partial, params, trials=1)
+
+
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
     basis, cdfs = model.basis, model.cdfs
-    order, hq = pipeline.reference_tables(image, model, params.num_components)
+    order = pipeline.component_order(image, basis, params.num_components)
+    _, hq = pipeline.reference_tables(image, model, order)
     n_test = core.number_of_tests(image.width * image.height, params)
     counts = []
     for t in range(trials):
