@@ -31,6 +31,7 @@ from .errors import (CorruptHeader, TruncatedData, UnreadableFile,
 # one token after any whitespace and '#' comments; a '#' also ends a token.
 # Bytes-pattern \s is the six ASCII whitespace bytes Netpbm allows.
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(eq=False)
@@ -235,9 +236,17 @@ def save_disparity(dmap: DisparityMap, data_path) -> None:
     write_file(data_path, "".join(lines).encode("ascii"))
 
 
+def _is_int32(token: str) -> bool:
+    try:
+        return _INT32.min <= int(token) <= _INT32.max
+    except ValueError:
+        return False
+
+
 def load_disparity(path) -> DisparityMap:
     """Read the text form back; rejection reasons and nfa are not recoverable.
-    CRLF, CR and LF each end a row; the file must be ASCII."""
+    CRLF, CR and LF each end a row; the file must be ASCII.  A cell is "NaN"
+    or an int32 in any form Python's int() reads."""
     text = read_file(path).decode("ascii")
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [ln for ln in text.split("\n") if ln != ""]
@@ -247,19 +256,22 @@ def load_disparity(path) -> DisparityMap:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise CorruptHeader(f"{path}: ragged rows")
-    height = len(rows)
-    state = np.full((height, width), CellState.NOT_MEANINGFUL, dtype=np.uint8)
-    disp = np.zeros((height, width), dtype=np.int32)
-    for y, row in enumerate(rows):
-        for x, tok in enumerate(row):
-            if tok == "NaN":
-                continue
-            try:
-                disp[y, x] = int(tok)
-            except ValueError:
-                raise CorruptHeader(f"{path}: bad token {tok!r}") from None
-            state[y, x] = CellState.ACCEPTED
-    nfa = np.full((height, width), np.nan)
+    cells = np.array(rows, dtype=object)
+    accepted = cells != "NaN"
+    tokens = cells[accepted]
+    try:
+        values = tokens.astype(np.int64)   # numpy reads each token with int()
+        in_range = ((values >= _INT32.min) & (values <= _INT32.max)).all()
+    except (ValueError, OverflowError):
+        in_range = False
+    if not in_range:
+        bad = next(tok for tok in tokens if not _is_int32(tok))
+        raise CorruptHeader(f"{path}: bad token {bad!r}")
+    state = np.where(accepted, CellState.ACCEPTED,
+                     CellState.NOT_MEANINGFUL).astype(np.uint8)
+    disp = np.zeros(cells.shape, dtype=np.int32)
+    disp[accepted] = values
+    nfa = np.full(cells.shape, np.nan)
     return DisparityMap(state=state, disparity=disp, nfa=nfa)
 
 

@@ -326,26 +326,65 @@ def cdf_eval(sorted_values: np.ndarray, value):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
+def _inverse_cdf(sorted_values: np.ndarray, x: np.ndarray,
+                 steps: np.ndarray) -> np.ndarray:
+    """np.interp(x, ranks, sorted_values) with ranks = arange(1, m+1)/m, bit
+    for bit, written over x (each in [0, 1]); steps is np.diff(ranks).  The
+    ranks are uniform, so each x's interval follows from floor(x*m) and one
+    exact comparison each way with the rank values, not from a search."""
+    sv = sorted_values
+    m = sv.size
+    if m == 0:
+        raise ValueError("empty CDF")
+    # np.interp's slopes.  The last entry, -0.0, also serves index -1 (x
+    # below the first rank): there and at x >= 1 np.interp returns the end
+    # value, and -0.0 * (x - left) + value is that value, whatever its sign
+    slope = np.empty(m)
+    slope[-1] = -0.0
+    np.subtract(sv[1:], sv[:-1], out=slope[:-1])
+    slope[:-1] /= steps
+    if not np.isfinite(slope.max()):
+        # infinite or NaN values: leave np.interp's special cases to it
+        x[:] = np.interp(x, np.arange(1, m + 1) / m, sv)
+        return x
+    # k counts the ranks <= x; floor(x*m) is off by at most one either way
+    # while m is far below 2**52
+    k = np.floor(x * m)
+    left = k / m
+    low, high = (k + 1.0) / m <= x, left > x
+    if low.any() or high.any():
+        k += low
+        k -= high
+        np.divide(k, m, out=left)
+    k -= 1.0
+    j = k.astype(np.intp)
+    value = sv.take(j, mode="clip")   # sv[0] below the first rank
+    at_rank = x == left
+    x -= left
+    x *= slope.take(j)
+    x += value
+    # np.interp returns the value itself at a rank, which keeps a -0.0
+    np.copyto(x, value, where=at_rank)
+    return x
+
+
 def sample_coefficients(cdfs: np.ndarray, rng: np.random.Generator,
                         count: int) -> np.ndarray:
     """Draw count independent coefficient vectors, each component sampled by
-    inverse-CDF from its row of the (s, m) table of sorted training values.
-    The uniforms are drawn at once, so the draws do not depend on the band
-    pool that turns each component's column into values."""
-    u = rng.random((count, len(cdfs)))
-    out = np.empty_like(u)
-
-    def column(i):
-        sv = cdfs[i]
-        ranks = np.arange(1, sv.size + 1) / sv.size
-        # interpolating at ascending u keeps the searches in cache
-        values = u[:, i].copy()
-        perm = np.argsort(values)
-        values[perm] = np.interp(values[perm], ranks, sv)
-        out[:, i] = values
-
-    bands.run_parallel(column, range(len(cdfs)))
-    return out
+    inverse-CDF from its row of the (u, m) table of sorted training values:
+    np.interp(uniform, arange(1, m+1)/m, row), bit for bit.  The uniforms
+    are drawn as one (count, u) table, so the draws do not depend on the
+    order in which the columns are turned into values."""
+    uniform = rng.random((count, len(cdfs)))
+    m = cdfs.shape[1]
+    steps = np.diff(np.arange(1, m + 1) / m)
+    # each component's uniforms as one contiguous row, turned into values in
+    # place and copied back into the drawn table: two whole tables at a time
+    columns = np.ascontiguousarray(uniform.T)
+    for sv, column in zip(cdfs, columns):
+        _inverse_cdf(sv, column, steps)
+    uniform[...] = columns.T
+    return uniform
 
 
 def learn_background_model(image: GrayImage, block_side: int = 9,

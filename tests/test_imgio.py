@@ -230,6 +230,30 @@ def test_disparity_bad_token(tmp_path):
         load_disparity(path)
 
 
+@pytest.mark.parametrize("token, expected", [
+    ("+5", 5), (" 5 ", 5), ("5_0", 50), ("0x10", None), ("", None),
+    ("1.0", None), ("2147483647", 2147483647), ("2147483648", None),
+    ("-2147483649", None), ("99999999999", None),
+    ("99999999999999999999999", None)])
+def test_disparity_tokens_follow_python_int(tmp_path, token, expected):
+    # a cell holds what int() reads, if that is an int32; None: rejected
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    assert expected == (value if value is not None
+                        and -2**31 <= value < 2**31 else None)
+    path = tmp_path / "tok.tsv"
+    path.write_text(f"NaN\t{token}\n-7\tNaN\n")
+    if expected is None:
+        with pytest.raises(CorruptHeader, match="bad token"):
+            load_disparity(path)
+    else:
+        back = load_disparity(path)
+        assert back.disparity.tolist() == [[0, expected], [-7, 0]]
+        assert back.accepted.tolist() == [[False, True], [True, False]]
+
+
 def test_disparity_empty(tmp_path):
     path = tmp_path / "none.tsv"
     path.write_text("")

@@ -575,6 +575,57 @@ def test_sampling_matches_unsorted_interp(texture_model):
         assert got[:, i].tobytes() == ref.tobytes(), i
 
 
+class FixedUniforms:
+    """Stands in for a Generator whose random() draws the given table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def random(self, shape):
+        assert shape == self.table.shape
+        return self.table.copy()
+
+
+def edge_rows(m, rng):
+    """Sorted rows of m values: random, tied, constant, signed zeros and
+    infinite."""
+    ties = np.sort(rng.integers(-2, 3, m).astype(np.float64))
+    zeros = np.zeros(m)
+    zeros[::2] = -0.0
+    if m >= 4:
+        zeros[0], zeros[-1] = -1.0, 1.0
+    infinite = np.sort(rng.normal(size=m))
+    infinite[-1] = np.inf
+    return np.stack([np.sort(rng.normal(size=m)), ties, np.full(m, -2.5),
+                     zeros, infinite])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 14400, 70001])
+def test_sampling_edges_match_interp(m):
+    # every rank k/m with both neighbours, the ends of [0, 1], values below
+    # the first rank and random ones; byte equality also tells -0.0 from 0.0
+    rng = np.random.default_rng(m)
+    ranks = np.arange(1, m + 1) / m
+    u = np.concatenate([ranks, np.nextafter(ranks, 2.0),
+                        np.nextafter(ranks, -1.0),
+                        [0.0, np.nextafter(1.0, 0.0), 1.0, 0.5 / m,
+                         np.nextafter(0.0, 1.0)],
+                        rng.random(3000)])
+    rows = edge_rows(m, rng)
+    signs = np.signbit(rows[3][rows[3] == 0])
+    assert signs.any() and (m == 1 or not signs.all())
+    got = sample_coefficients(rows, FixedUniforms(np.tile(u[:, None], 5)),
+                              u.size)
+    for i, row in enumerate(rows):
+        ref = np.interp(u, ranks, row)
+        assert got[:, i].tobytes() == ref.tobytes(), (m, i)
+
+
+def test_sampling_needs_values():
+    with pytest.raises(ValueError):
+        sample_coefficients(np.empty((2, 0)), np.random.default_rng(0), 3)
+
+
 def test_sampling_constant_model():
     model = learn_background_model(GrayImage(np.full((16, 16), 40.0)), 3)
     coeffs = sample_coefficients(model.cdfs, np.random.default_rng(0), 5)

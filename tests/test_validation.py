@@ -244,12 +244,16 @@ def unbanded_false_alarms(image, model, params, trials, seed):
     order = pipeline.component_order(image, basis, params.num_components)
     _, hq = pipeline.reference_tables(image, model, order)
     n_test = core.number_of_tests(image.width * image.height, params)
+    ranks = np.arange(1, cdfs.shape[1] + 1) / cdfs.shape[1]
     counts = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
         for _ in range(2 * params.search_radius + 1):
-            coeffs = patch_model.sample_coefficients(cdfs, rng, len(order))
+            # drawn and inverted here, independently of sample_coefficients
+            u = rng.random((len(order), len(cdfs)))
+            coeffs = np.stack([np.interp(u[:, i], ranks, cdf)
+                               for i, cdf in enumerate(cdfs)], axis=1)
             blocks = basis.mean_block + coeffs @ basis.eigenvectors
             projected = patch_model.project(basis, blocks)
             hs = np.stack([patch_model.cdf_eval(cdf, projected[:, i])
