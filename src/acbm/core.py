@@ -66,8 +66,6 @@ def top_components(coeffs: np.ndarray, count: int) -> np.ndarray:
     """
     a = np.abs(coeffs)
     s = a.shape[1]
-    if count >= s:
-        return np.argsort(-a, axis=1, kind="stable")
     nth = np.partition(a, s - count, axis=1)[:, s - count, None]
     keep = a >= nth
     tied = np.flatnonzero(keep.sum(axis=1) > count)

@@ -199,7 +199,7 @@ def _load_pfm(buf: bytes, pos: int, path) -> GrayImage:
         scale = float(tok)
     except ValueError:
         raise CorruptHeader(f"{path}: bad scale {tok!r}") from None
-    if width < 1 or height < 1 or scale == 0.0:
+    if width < 1 or height < 1 or not 0.0 < abs(scale) < np.inf:
         raise CorruptHeader(f"{path}: bad PFM header")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     data = _raster(buf, pos, dtype, width, height, path)
@@ -247,7 +247,11 @@ def load_disparity(path) -> DisparityMap:
     """Read the text form back; rejection reasons and nfa are not recoverable.
     CRLF, CR and LF each end a row; the file must be ASCII.  A cell is "NaN"
     or an int32 in any form Python's int() reads."""
-    text = read_file(path).decode("ascii")
+    try:
+        text = read_file(path).decode("ascii")
+    except UnicodeDecodeError as err:
+        raise CorruptHeader(f"{path}: non-ASCII byte at offset "
+                            f"{err.start}") from None
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:

@@ -110,67 +110,67 @@ def monte_carlo_false_alarms(image: GrayImage,
     model, and meaningful matches are counted with the same number of tests
     as a real run.  Returns the mean count per trial (expected <= epsilon).
 
-    Each sampled block is rebuilt and projected again before its CDF values
-    are taken, as a real candidate would be; under tied training values that
-    round trip does not return the uniform draws.  A component's CDF is
-    evaluated only at the pixels that test it.  Raises DimensionMismatch
-    unless the model holds all s components: a drawn block needs each."""
+    One band pass projects the reference and groups each band's (pixel,
+    slot) cells by the component they test.  Each round draws the whole
+    table, then one band pass rebuilds and projects the drawn blocks again,
+    as a real candidate would be (under tied training values that round
+    trip does not return the uniform draws).  Reference and draws alike get
+    a component's CDF values only at the cells that test it.  Raises
+    DimensionMismatch unless the model has the params' block side and all
+    s components: a drawn block needs each."""
     if trials < 1:
         raise ValueError("need at least one trial")
     basis, cdfs = model.basis, model.cdfs
-    if basis.block_side != params.block_side:
-        raise DimensionMismatch(f"model block side {basis.block_side} != "
+    side, k = basis.block_side, params.num_components
+    if side != params.block_side:
+        raise DimensionMismatch(f"model block side {side} != "
                                 f"params block side {params.block_side}")
     if len(cdfs) != basis.size:
         raise DimensionMismatch(f"sampling a block needs all {basis.size} "
                                 f"components, the model holds {len(cdfs)}")
-    hi, wi = patch_model.interior_shape(image, basis.block_side)
-    order = pipeline.component_order(image, basis, params.num_components)
-    _, hq = pipeline.reference_tables(image, model, order)
-    n_ref = hi * wi
+    hi, wi = patch_model.interior_shape(image, side)
     n_test = core.number_of_tests(image.width * image.height, params)
     rounds = 2 * params.search_radius + 1
 
-    # the flat hqp cells that test each component and the pixels they read;
-    # order comes from the reference, so this holds for every round, and
-    # component i's CDF is row i of the whole model's table
-    flat_order = order.reshape(-1)
-    by_component = np.argsort(flat_order, kind="stable")
-    ends = np.searchsorted(flat_order[by_component], np.arange(basis.size),
-                           side="right")
-    groups = [(i, cells, cells // params.num_components)
-              for i, cells in enumerate(np.split(by_component, ends[:-1]))
-              if cells.size]
-    hqp = np.empty_like(hq)
-    hqp_flat = hqp.reshape(-1)
+    def cdf_values(groups, coeffs):
+        # component i's CDF is row i of the whole model's table
+        h = np.empty((len(coeffs), k))
+        for i, cells in groups:
+            h.flat[cells] = patch_model.cdf_eval(cdfs[i], coeffs[cells // k, i])
+        return h
 
-    def reproject(rows, coeffs):
-        # each band reads and writes only its own rows of the round's table
-        cells = slice(rows.start * wi, rows.stop * wi)
-        coeffs[cells] = patch_model.project(
-            basis, basis.mean_block + coeffs[cells] @ basis.eigenvectors)
+    def reference(rows):
+        # the reference fixes each component's cells for every round
+        coeffs = patch_model.project(
+            basis, patch_model.interior_blocks(image, side, rows))
+        order = core.top_components(coeffs, k).reshape(-1)
+        by_component = np.argsort(order, kind="stable")
+        ends = np.searchsorted(order[by_component], np.arange(basis.size),
+                               side="right")
+        groups = [(i, cells) for i, cells in
+                  enumerate(np.split(by_component, ends[:-1])) if cells.size]
+        return rows, groups, cdf_values(groups, coeffs)
 
-    def component_values(group, coeffs):
-        i, cells, pixels = group
-        hqp_flat[cells] = patch_model.cdf_eval(cdfs[i], coeffs[pixels, i])
-
-    def band_hits(rows):
-        cells = slice(rows.start * wi, rows.stop * wi)
-        nfas = pipeline.candidate_nfa_block(hq[cells], hqp[cells], n_test,
-                                            params.num_levels)
+    def band_hits(band, coeffs):
+        rows, groups, hq = band
+        # a C-contiguous row slice: another operand layout changes BLAS bits
+        drawn = coeffs[rows.start * wi:rows.stop * wi]
+        drawn = patch_model.project(
+            basis, basis.mean_block + drawn @ basis.eigenvectors)
+        nfas = pipeline.candidate_nfa_block(hq, cdf_values(groups, drawn),
+                                            n_test, params.num_levels)
         return int((nfas <= params.epsilon).sum())
 
+    reference_bands = bands.run_bands(reference, hi)
     counts = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
         for _ in range(rounds):
             # drawn whole, in sequence, so the draws do not depend on bands
-            coeffs = patch_model.sample_coefficients(cdfs, rng, n_ref)
-            bands.run_bands(functools.partial(reproject, coeffs=coeffs), hi)
-            bands.run_parallel(
-                functools.partial(component_values, coeffs=coeffs), groups)
-            hits += sum(bands.run_bands(band_hits, hi))
+            coeffs = patch_model.sample_coefficients(cdfs, rng, hi * wi)
+            hits += sum(bands.run_parallel(
+                functools.partial(band_hits, coeffs=coeffs), reference_bands))
             del coeffs   # freed before the next draw: one whole table at a time
         counts[t] = hits
     return float(counts.mean())

@@ -156,6 +156,9 @@ def test_file_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P9\n1 1\n255\n\x00")
     assert main(["match", str(bad), str(bad), "--range", "2"]) == 2
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"1\t2\n\xff\t3\n")
+    assert main(["eval", str(latin1), str(latin1)]) == 2
 
 
 def test_write_errors_exit_2(shift_pair, tmp_path):

@@ -184,6 +184,15 @@ def test_pfm_zero_scale(tmp_path):
         load_gray(path)
 
 
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf"])
+def test_pfm_nonfinite_scale(tmp_path, scale):
+    # like zero, a NaN or infinite scale gives no byte order
+    path = tmp_path / "scale.pfm"
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + bytes(4))
+    with pytest.raises(CorruptHeader, match="bad PFM header"):
+        load_gray(path)
+
+
 def test_pfm_truncated(tmp_path):
     path = tmp_path / "cut.pfm"
     path.write_bytes(b"Pf\n2 2\n-1.0\n" + bytes(10))
@@ -252,6 +261,14 @@ def test_disparity_tokens_follow_python_int(tmp_path, token, expected):
         back = load_disparity(path)
         assert back.disparity.tolist() == [[0, expected], [-7, 0]]
         assert back.accepted.tolist() == [[False, True], [True, False]]
+
+
+def test_disparity_non_ascii_names_the_file(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"1\t2\n\xff\t3\n")
+    with pytest.raises(CorruptHeader, match="latin1.tsv: non-ASCII byte at "
+                                            "offset 4"):
+        load_disparity(path)
 
 
 def test_disparity_empty(tmp_path):

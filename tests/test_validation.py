@@ -225,6 +225,15 @@ def test_monte_carlo_rejects_wrong_cdf_count(saturated_model, count):
                                  AcbmParams(search_radius=2), trials=1)
 
 
+def test_monte_carlo_rejects_another_block_side(saturated_model):
+    img, model = saturated_model   # learned at block side 9
+    with pytest.raises(DimensionMismatch, match="block side 9 != params "
+                                                "block side 5"):
+        monte_carlo_false_alarms(img, model, AcbmParams(search_radius=2,
+                                                        block_side=5),
+                                 trials=1)
+
+
 def test_monte_carlo_rejects_a_partial_model(saturated_model):
     # a drawn block needs every component, used by the reference or not
     img, model = saturated_model
