@@ -4,12 +4,16 @@ Once the background model is learned, a reference pixel's tables and tests
 depend only on that model and on the pixel's own row, so the interior grid
 is cut into bands of BAND_ROWS rows that are processed independently.  Each
 band task writes its own rows of arrays that the calling thread allocated,
-so results do not depend on the number of threads.  They depend on the band
-height only through BLAS: a matrix product can round its last bits
-differently by row count.  Under OpenBLAS 0.3.31 (Haswell kernels) a
-projection of up to 14 rows and a Monte-Carlo rebuild of up to 152 rows
-differ from longer products, so on narrow images the tables, and the
-Monte-Carlo counts, change with the band height.
+so results do not depend on the number of pool threads.  They depend on the
+band height only through BLAS: a matrix product can round its last bits
+differently by row count, and by BLAS thread count.  Under OpenBLAS 0.3.31
+(Haswell kernels), at block side 9 with one BLAS thread, a projection of up
+to 14 rows and a Monte-Carlo rebuild of up to 152 rows differ from longer
+products; with two BLAS threads projections of 80 and 81 rows differ too.
+At block side 5 a rebuild of up to 1000 rows differs, and at 17 both
+products differ at nearly every row count.  So on narrow images, and at
+block side 17 on any image, the tables and the Monte-Carlo counts can
+change with the band height.
 
 The pool has one worker per CPU.  Its threads start on the first task, not
 at import.  A band task must not submit work to the pool itself: once every

@@ -27,12 +27,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_model_flags(p, with_epsilon=True):
+def _add_model_flags(p):
     p.add_argument("--range", type=int, required=True, metavar="R",
                    help="search disparities in [-R, R]")
-    if with_epsilon:
-        p.add_argument("--epsilon", type=float, default=1.0,
-                       help="NFA acceptance threshold (default 1)")
+    p.add_argument("--epsilon", type=float, default=1.0,
+                   help="NFA acceptance threshold (default 1)")
     p.add_argument("--block", type=int, default=9,
                    help="block side, odd (default 9)")
     p.add_argument("--components", type=int, default=9,

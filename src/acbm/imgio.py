@@ -123,20 +123,36 @@ def write_file(path, *chunks: bytes) -> None:
         raise WriteFailure(f"{path}: {exc}") from None
 
 
-def _int(tok: bytes, what: str) -> int:
+def _ints(tokens, what: str, path, lo: int, hi: int) -> np.ndarray:
+    """int() of each token (numpy's object cast calls it), as one int64
+    array.  Raises CorruptHeader naming the first token that int() rejects
+    or that falls outside [lo, hi]."""
+    def fits(tok):
+        try:
+            return lo <= int(tok) <= hi
+        except ValueError:
+            return False
+
     try:
-        return int(tok)
-    except ValueError:
-        raise CorruptHeader(f"bad {what}: {tok!r}") from None
+        values = np.asarray(tokens, dtype=object).astype(np.int64)
+        if ((values >= lo) & (values <= hi)).all():
+            return values
+    except (ValueError, OverflowError):   # OverflowError: beyond int64
+        pass
+    bad = next(tok for tok in tokens if not fits(tok))
+    raise CorruptHeader(f"{path}: bad {what}: {bad!r}")
 
 
-def _next_token(buf: bytes, pos: int, what: str | None = None):
-    """The next header token, as an int when what names it, and the
+def _next_token(buf: bytes, pos: int, path, what: str, kind=int):
+    """The next header token converted by kind (bytes keeps it raw), and the
     position after it."""
     m = _TOKEN.match(buf, pos)
     if not m[1]:
-        raise CorruptHeader("unexpected end of header")
-    return (m[1] if what is None else _int(m[1], what)), m.end()
+        raise CorruptHeader(f"{path}: unexpected end of header")
+    try:
+        return kind(m[1]), m.end()
+    except ValueError:
+        raise CorruptHeader(f"{path}: bad {what}: {m[1]!r}") from None
 
 
 def _raster(buf: bytes, pos: int, dtype: np.dtype, width: int, height: int,
@@ -153,9 +169,13 @@ def _raster(buf: bytes, pos: int, dtype: np.dtype, width: int, height: int,
 
 def load_gray(path) -> GrayImage:
     """Load a PGM (P2/P5) or grayscale PFM file."""
-    buf = read_file(path)
+    return parse_gray(read_file(path), path)
+
+
+def parse_gray(buf: bytes, path) -> GrayImage:
+    """load_gray on the bytes of the file at path."""
     try:
-        magic, pos = _next_token(buf, 0)
+        magic, pos = _next_token(buf, 0, path, "magic", bytes)
     except CorruptHeader:
         raise UnsupportedFormat(f"{path}: empty file") from None
     if magic in (b"P2", b"P5"):
@@ -168,9 +188,9 @@ def load_gray(path) -> GrayImage:
 
 
 def _load_pgm(buf: bytes, pos: int, magic: bytes, path) -> GrayImage:
-    width, pos = _next_token(buf, pos, "width")
-    height, pos = _next_token(buf, pos, "height")
-    maxval, pos = _next_token(buf, pos, "maxval")
+    width, pos = _next_token(buf, pos, path, "width")
+    height, pos = _next_token(buf, pos, path, "height")
+    maxval, pos = _next_token(buf, pos, path, "maxval")
     if width < 1 or height < 1:
         raise CorruptHeader(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:
@@ -178,27 +198,23 @@ def _load_pgm(buf: bytes, pos: int, magic: bytes, path) -> GrayImage:
     if magic == b"P5":
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         data = _raster(buf, pos, dtype, width, height, path)
+        if data.max() > maxval:
+            raise CorruptHeader(f"{path}: sample outside [0, {maxval}]")
     else:
         count = width * height
         # only the end of the data gives an empty token
         tokens = [m[1] for m in itertools.islice(_TOKEN.finditer(buf, pos),
                                                  count) if m[1]]
-        data = np.array([_int(t, "sample") for t in tokens], dtype=np.float64)
+        data = _ints(tokens, "sample", path, 0, maxval).astype(np.float64)
         if data.size < count:
             raise TruncatedData(f"{path}: {data.size} samples, expected {count}")
-    if data.min() < 0 or data.max() > maxval:
-        raise CorruptHeader(f"{path}: sample outside [0, {maxval}]")
     return GrayImage(data.reshape(height, width), maxval=float(maxval))
 
 
 def _load_pfm(buf: bytes, pos: int, path) -> GrayImage:
-    width, pos = _next_token(buf, pos, "width")
-    height, pos = _next_token(buf, pos, "height")
-    tok, pos = _next_token(buf, pos)
-    try:
-        scale = float(tok)
-    except ValueError:
-        raise CorruptHeader(f"{path}: bad scale {tok!r}") from None
+    width, pos = _next_token(buf, pos, path, "width")
+    height, pos = _next_token(buf, pos, path, "height")
+    scale, pos = _next_token(buf, pos, path, "scale", float)
     if width < 1 or height < 1 or not 0.0 < abs(scale) < np.inf:
         raise CorruptHeader(f"{path}: bad PFM header")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
@@ -236,19 +252,17 @@ def save_disparity(dmap: DisparityMap, data_path) -> None:
     write_file(data_path, "".join(lines).encode("ascii"))
 
 
-def _is_int32(token: str) -> bool:
-    try:
-        return _INT32.min <= int(token) <= _INT32.max
-    except ValueError:
-        return False
-
-
 def load_disparity(path) -> DisparityMap:
     """Read the text form back; rejection reasons and nfa are not recoverable.
     CRLF, CR and LF each end a row; the file must be ASCII.  A cell is "NaN"
     or an int32 in any form Python's int() reads."""
+    return parse_disparity(read_file(path), path)
+
+
+def parse_disparity(buf: bytes, path) -> DisparityMap:
+    """load_disparity on the bytes of the file at path."""
     try:
-        text = read_file(path).decode("ascii")
+        text = buf.decode("ascii")
     except UnicodeDecodeError as err:
         raise CorruptHeader(f"{path}: non-ASCII byte at offset "
                             f"{err.start}") from None
@@ -262,15 +276,7 @@ def load_disparity(path) -> DisparityMap:
         raise CorruptHeader(f"{path}: ragged rows")
     cells = np.array(rows, dtype=object)
     accepted = cells != "NaN"
-    tokens = cells[accepted]
-    try:
-        values = tokens.astype(np.int64)   # numpy reads each token with int()
-        in_range = ((values >= _INT32.min) & (values <= _INT32.max)).all()
-    except (ValueError, OverflowError):
-        in_range = False
-    if not in_range:
-        bad = next(tok for tok in tokens if not _is_int32(tok))
-        raise CorruptHeader(f"{path}: bad token {bad!r}")
+    values = _ints(cells[accepted], "token", path, _INT32.min, _INT32.max)
     state = np.where(accepted, CellState.ACCEPTED,
                      CellState.NOT_MEANINGFUL).astype(np.uint8)
     disp = np.zeros(cells.shape, dtype=np.int32)

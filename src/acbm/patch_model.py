@@ -139,15 +139,13 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.fill_diagonal(off, 0.0)
         return np.sqrt((off * off).sum())
 
-    for _ in range(_JACOBI_MAX_SWEEPS):
+    for sweeps in range(_JACOBI_MAX_SWEEPS + 1):
         d = np.diag(a)
         if _off_norm() <= _JACOBI_TOL * np.sqrt((d * d).sum()):
             return d.copy(), table[:, s:].T.copy()
-        with np.errstate(over="ignore"):  # huge entries overflow the products
-            _sweep(table, s)
-    d = np.diag(a)
-    if _off_norm() <= _JACOBI_TOL * np.sqrt((d * d).sum()):
-        return d.copy(), table[:, s:].T.copy()
+        if sweeps < _JACOBI_MAX_SWEEPS:
+            with np.errstate(over="ignore"):  # huge entries overflow products
+                _sweep(table, s)
     raise EigenNoConvergence(f"off-diagonal mass {_off_norm():.3e} left after "
                              f"{_JACOBI_MAX_SWEEPS} sweeps")
 
@@ -260,12 +258,10 @@ def training_values(basis: PatchBasis, image: GrayImage,
     return values
 
 
-def training_ranks(basis: PatchBasis, image: GrayImage,
-                   components: np.ndarray | None = None,
+def training_ranks(basis: PatchBasis, image: GrayImage, components: np.ndarray,
                    ) -> tuple[BackgroundModel, np.ndarray]:
-    """Empirical CDF of each of the given components (default: all of them)
-    over every complete block of the image, and every block's own CDF values
-    as integer ranks.
+    """Empirical CDF of each of the given components over every complete
+    block of the image, and every block's own CDF values as integer ranks.
 
     Returns (model, ranks).  ranks is an (m, u) table in interior_blocks
     order, of the smallest unsigned type that holds m; column i over m
@@ -274,8 +270,6 @@ def training_ranks(basis: PatchBasis, image: GrayImage,
     is its last-occurrence rank over m.  One pool task per component sorts
     its row of training_values in place.
     """
-    if components is None:
-        components = np.arange(basis.size)
     sorted_values = training_values(basis, image, components)
     m = sorted_values.shape[1]
     ranks = np.empty((m, len(components)), dtype=np.min_scalar_type(m))

@@ -206,18 +206,12 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
 
     bands.run_bands(scan_band, hi)
 
-    state_in = np.full((hi, wi_r), CellState.NOT_MEANINGFUL, dtype=np.uint8)
-    if mode is MatchMode.SS_ONLY:
-        accepted = has_candidate & ss_ok
-        state_in[has_candidate & ~ss_ok] = CellState.SELF_SIMILAR
-    else:
-        meaningful = has_candidate & (best_nfa <= params.epsilon)
-        if mode is MatchMode.ACBM_SS:
-            accepted = meaningful & ss_ok
-            state_in[meaningful & ~ss_ok] = CellState.SELF_SIMILAR
-        else:
-            accepted = meaningful
-    state_in[accepted] = CellState.ACCEPTED
+    passed = has_candidate & (by_ssd | (best_nfa <= params.epsilon))
+    vetoed = passed & ~ss_ok & need_cross
+    accepted = passed & ~vetoed
+    state_in = np.select([accepted, vetoed],
+                         [CellState.ACCEPTED, CellState.SELF_SIMILAR],
+                         CellState.NOT_MEANINGFUL)
 
     h, w = reference.height, reference.width
     state = np.full((h, w), CellState.BORDER, dtype=np.uint8)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bands, core, patch_model, pipeline
 from .errors import DimensionMismatch
-from .imgio import (DisparityMap, GrayImage, load_disparity, load_gray,
-                    read_file)
+from .imgio import (DisparityMap, GrayImage, load_gray, parse_disparity,
+                    parse_gray, read_file)
 from .self_sim import window_sums
 
 
@@ -144,11 +144,7 @@ def monte_carlo_false_alarms(image: GrayImage,
         coeffs = patch_model.project(
             basis, patch_model.interior_blocks(image, side, rows))
         order = core.top_components(coeffs, k).reshape(-1)
-        by_component = np.argsort(order, kind="stable")
-        ends = np.searchsorted(order[by_component], np.arange(basis.size),
-                               side="right")
-        groups = [(i, cells) for i, cells in
-                  enumerate(np.split(by_component, ends[:-1])) if cells.size]
+        groups = [(i, np.flatnonzero(order == i)) for i in np.unique(order)]
         return rows, groups, cdf_values(groups, coeffs)
 
     def band_hits(band, coeffs):
@@ -180,15 +176,17 @@ def load_ground_truth(path, mask_path=None, scale: float = 1.0,
                       offset: float = 128.0) -> GroundTruth:
     """Ground truth from an image file (disparity = (value - offset)/scale)
     or from the disparity text format (values verbatim, NaN = invalid).
-    An optional mask image marks zero pixels invalid."""
-    if read_file(path)[:2] in (b"P2", b"P5", b"Pf"):
-        img = load_gray(path)
+    An optional mask image marks zero pixels invalid.  A file whose first
+    byte is "P" is an image: no disparity text starts with it."""
+    buf = read_file(path)
+    if buf[:1] == b"P":
+        img = parse_gray(buf, path)
         if scale == 0:
             raise ValueError("scale must be non-zero")
         disparity = (img.pixels - offset) / scale
         valid = np.ones(img.pixels.shape, dtype=bool)
     else:
-        dmap = load_disparity(path)
+        dmap = parse_disparity(buf, path)
         disparity = dmap.disparity.astype(np.float64)
         valid = dmap.accepted.copy()
     if mask_path is not None:

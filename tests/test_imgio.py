@@ -80,7 +80,8 @@ def test_pgm_ascii_bad_sample_before_running_short(tmp_path):
     # a bad sample among those present wins over the missing ones
     path = tmp_path / "bad_then_short.pgm"
     path.write_bytes(b"P2\n2 2 255\n1 x\n")
-    with pytest.raises(CorruptHeader, match="bad sample: b'x'"):
+    with pytest.raises(CorruptHeader,
+                       match="bad_then_short.pgm: bad sample: b'x'"):
         load_gray(path)
 
 
@@ -105,11 +106,12 @@ def test_pgm_sample_above_maxval(tmp_path):
     b"P2\n2 2 70000\n",         # maxval too large
     b"P2\nx 2 255\n0 0 0 0\n",  # non-numeric width
     b"P2\n3 2",                 # cut before maxval
+    b"P2\n3 2 # no maxval",     # the comment runs to the end of the file
 ])
 def test_pgm_corrupt_headers(tmp_path, header):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + b"0 0 0 0\n")
-    with pytest.raises(CorruptHeader):
+    with pytest.raises(CorruptHeader, match="bad.pgm: "):
         load_gray(path)
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from acbm import gen_texture
+from acbm import gen_texture, patch_model
 from acbm.errors import (
     BlockOutOfBounds,
     CorruptHeader,
@@ -273,6 +273,18 @@ def test_jacobi_nan_matrix_does_not_converge():
         jacobi_eigh(m)
 
 
+def test_jacobi_sweep_limit(monkeypatch):
+    # one rotation diagonalizes a 2x2 matrix: the limit counts sweeps run
+    # before the last convergence test
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    monkeypatch.setattr(patch_model, "_JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(EigenNoConvergence, match="after 0 sweeps"):
+        jacobi_eigh(m)
+    monkeypatch.setattr(patch_model, "_JACOBI_MAX_SWEEPS", 1)
+    values, _ = jacobi_eigh(m)
+    assert np.allclose(np.sort(values), [1.0, 3.0])
+
+
 # ------------------------------------------------------------------- basis
 
 def test_basis_constant_image():
@@ -460,7 +472,7 @@ def test_training_ranks_match_cdf_eval(image, dtype):
     basis = compute_patch_basis(saturated_square(96), 9)
     coeffs = project(basis, interior_blocks(image, 9))
     m = coeffs.shape[0]
-    model, ranks = training_ranks(basis, image)
+    model, ranks = training_ranks(basis, image, np.arange(basis.size))
     assert model.basis is basis and model.cdfs.shape == (81, m)
     assert ranks.shape == (m, 81) and ranks.dtype == dtype
     for i, cdf in enumerate(model.cdfs):
@@ -478,7 +490,7 @@ def test_training_ranks_match_cdf_eval(image, dtype):
 ], ids=["uint8", "uint16", "uint32"])
 def test_training_ranks_on_components_equal_full_rows(image, dtype):
     basis = compute_patch_basis(saturated_square(96), 9)
-    full, full_ranks = training_ranks(basis, image)
+    full, full_ranks = training_ranks(basis, image, np.arange(basis.size))
     for components in ([0], [2, 3, 40, 80], np.arange(0, 81, 2)):
         components = np.array(components)
         model, ranks = training_ranks(basis, image, components)
@@ -502,14 +514,15 @@ def test_learned_model_equals_training_ranks_model(image):
     model = learn_background_model(image, 9, basis=basis)
     assert np.array_equal(model.components, np.arange(81))
     assert model.cdfs.tobytes() == \
-        training_ranks(basis, image)[0].cdfs.tobytes()
+        training_ranks(basis, image, np.arange(basis.size))[0].cdfs.tobytes()
 
 
 def test_training_ranks_need_two_blocks():
     basis = compute_patch_basis(gen_texture(40, 40, seed=1), 5)
+    every = np.arange(basis.size)
     with pytest.raises(ImageTooSmall):
-        training_ranks(basis, gen_texture(5, 5, seed=2))
-    model, ranks = training_ranks(basis, gen_texture(6, 5, seed=2))
+        training_ranks(basis, gen_texture(5, 5, seed=2), every)
+    model, ranks = training_ranks(basis, gen_texture(6, 5, seed=2), every)
     assert ranks.shape == (2, 25)
     assert model.cdfs.shape == (25, 2)
 

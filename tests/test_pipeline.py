@@ -263,7 +263,7 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         # identity basis: a coefficient is a pixel value, so the blocks of
         # the saturated square tie in every component
         basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
-    model, _ = training_ranks(basis, sec)
+    model, _ = training_ranks(basis, sec, np.arange(basis.size))
     for count in (5, 9, 25):
         order = component_order(ref, basis, count)
         want_order, want_h = oracle_reference_tables(ref, basis, model.cdfs,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from acbm import (AcbmParams, bands, core, evaluate, gen_noise_pair,
-                  gen_texture, patch_model, pipeline)
-from acbm.errors import DimensionMismatch
+                  gen_texture, imgio, patch_model, pipeline, validation)
+from acbm.errors import DimensionMismatch, UnsupportedFormat
 from acbm.imgio import DisparityMap, GrayImage, save_pgm
 from acbm.patch_model import BackgroundModel, learn_background_model
 from acbm.validation import (
@@ -140,6 +140,37 @@ def test_ground_truth_zero_scale(tmp_path):
     save_pgm(GrayImage(np.zeros((2, 2))), path)
     with pytest.raises(ValueError):
         load_ground_truth(path, scale=0.0)
+
+
+@pytest.mark.parametrize("name", ["gt.pgm", "gt.tsv"])
+def test_ground_truth_reads_the_file_once(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    if name == "gt.pgm":
+        save_pgm(GrayImage(np.full((2, 2), 130.0)), path)
+    else:
+        path.write_text("2\tNaN\n-1\t0\n")
+    read_file, reads = imgio.read_file, []
+
+    def counted(p):
+        reads.append(p)
+        return read_file(p)
+
+    monkeypatch.setattr(imgio, "read_file", counted)
+    monkeypatch.setattr(validation, "read_file", counted)
+    gt = load_ground_truth(path)
+    assert reads == [path]
+    assert gt.disparity.shape == (2, 2)
+
+
+@pytest.mark.parametrize("data", [
+    b"PF\n2 2\n-1.0\n" + np.full(12, 1.5, "<f4").tobytes(),   # colour PFM
+    b"P6\n2 2\n255\n" + bytes(12),                             # colour PPM
+], ids=["PF", "P6"])
+def test_ground_truth_in_an_unsupported_image_format(tmp_path, data):
+    path = tmp_path / "gt.img"
+    path.write_bytes(data)
+    with pytest.raises(UnsupportedFormat, match="gt.img"):
+        load_ground_truth(path)
 
 
 # --------------------------------------------------------------- evaluate
