@@ -6,25 +6,40 @@ is cut into bands of BAND_ROWS rows that are processed independently.  Each
 band task writes its own rows of arrays that the calling thread allocated,
 so results do not depend on the number of pool threads.  They depend on the
 band height only through BLAS: a matrix product can round its last bits
-differently by row count, and by BLAS thread count.  Under OpenBLAS 0.3.31
-(Haswell kernels), at block side 9 with one BLAS thread, a projection of up
-to 14 rows and a Monte-Carlo rebuild of up to 152 rows differ from longer
-products; with two BLAS threads projections of 80 and 81 rows differ too.
-At block side 5 a rebuild of up to 1000 rows differs, and at 17 both
-products differ at nearly every row count.  So on narrow images, and at
-block side 17 on any image, the tables and the Monte-Carlo counts can
-change with the band height.
+differently by row count, and by BLAS thread count.  Band tasks always run
+on one BLAS thread, so only the row count matters to them.  Under OpenBLAS
+0.3.31 (Haswell kernels), at block side 9, a projection of up to 14 rows
+and a Monte-Carlo rebuild of up to 152 rows differ from longer products;
+with two BLAS threads, which only products outside the pool can use,
+projections of 80 and 81 rows differ too.  At block side 5 a rebuild of up
+to 1000 rows differs, and at 17 both products differ at nearly every row
+count.  So on narrow images, and at block side 17 on any image, the tables
+and the Monte-Carlo counts can change with the band height.
 
-The pool has one worker per CPU.  Its threads start on the first task, not
-at import.  A band task must not submit work to the pool itself: once every
-worker waits on the pool it runs on, none is left to run the work, so
+The pool has one worker per CPU this process may run on.  Its threads start
+on the first task, not at import.  While any caller is inside run_parallel,
+numpy's bundled OpenBLAS is capped at one thread, and the caller's count
+comes back when the last such caller leaves: uncapped, each worker's
+product starts BLAS threads of its own, which spin on the CPUs the other
+workers need.  The cap is process-wide, so a product that another thread
+makes meanwhile also runs on one thread.  Without an OpenBLAS whose count
+can be set, the pool runs uncapped.
+
+A band task must not submit work to the pool itself: once every worker
+waits on the pool it runs on, none is left to run the work, so
 run_parallel raises RuntimeError when called from a pool worker.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+
+import numpy as np
 
 BAND_ROWS = 32
 
@@ -35,9 +50,57 @@ def _mark_worker() -> None:
     _IN_POOL.worker = True
 
 
-_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+# one per CPU this process may run on, which an affinity mask can limit
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS,
                            thread_name_prefix="acbm-band",
                            initializer=_mark_worker)
+
+_BLAS_LOCK = threading.Lock()
+_blas_callers = 0   # run_parallel calls inside the one-thread cap
+_blas_saved = 0     # the count to restore when the last of them leaves
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block: the first caller in saves
+    the count and the last one out restores it."""
+    global _blas_callers, _blas_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        if _blas_callers == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_callers += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_callers -= 1
+            if _blas_callers == 0:
+                put(_blas_saved)
 
 
 def row_bands(rows: int) -> list[slice]:
@@ -50,12 +113,13 @@ def row_bands(rows: int) -> list[slice]:
 def run_parallel(task, items) -> list:
     """task(item) for every item on the pool, results in item order.  Waits
     for every task before raising the first error, so no task still writes
-    into the caller's arrays once this returns or raises.  Raises
-    RuntimeError when called from a pool worker."""
+    into the caller's arrays once this returns or raises.  The tasks run on
+    one BLAS thread.  Raises RuntimeError when called from a pool worker."""
     if getattr(_IN_POOL, "worker", False):
         raise RuntimeError("a band task cannot submit work to the band pool")
-    futures = [_POOL.submit(task, item) for item in items]
-    wait(futures)
+    with _one_blas_thread():
+        futures = [_POOL.submit(task, item) for item in items]
+        wait(futures)
     return [f.result() for f in futures]
 
 

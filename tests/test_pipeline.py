@@ -18,7 +18,8 @@ from acbm.patch_model import (BackgroundModel, PatchBasis, cdf_eval,
                                training_ranks)
 from acbm.pipeline import (candidate_nfa_block, component_order,
                            reference_tables, scan_candidates)
-from acbm.validation import gen_texture, gen_translated_pair
+from acbm.validation import (gen_texture, gen_translated_pair,
+                             monte_carlo_false_alarms)
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +348,34 @@ def test_match_pair_repeats_byte_for_byte(banded_pair):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == first for r in results)
+
+
+@pytest.mark.skipif(bands._openblas() is None,
+                    reason="numpy's OpenBLAS thread count cannot be set")
+def test_band_products_ignore_the_callers_blas_threads():
+    # a product of this pair's last secondary band (80 blocks) gets other
+    # bits at two BLAS threads than at one; each call leaves the caller's
+    # count as it found it
+    ref, sec, _ = gen_translated_pair(48, 42, 1, texture_seed=3)
+    basis = compute_patch_basis(sec, 9)
+    params = AcbmParams(search_radius=3, block_side=9)
+    get, put = bands._openblas()
+    before = get()
+    outputs = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            model = learn_background_model(sec, 9, basis=basis)
+            assert get() == threads
+            dmap = match_pair(ref, sec, params, basis=basis)
+            assert get() == threads
+            false_alarms = monte_carlo_false_alarms(ref, model, params, 1)
+            assert get() == threads
+            outputs.append((model.cdfs.tobytes(), dmap_bytes(dmap),
+                            false_alarms))
+    finally:
+        put(before)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("num_levels", [1, 2, 5, 9, 300])
