@@ -163,8 +163,9 @@ def _raster(buf: bytes, pos: int, dtype: np.dtype, width: int, height: int,
     count = width * height
     if len(buf) - pos - 1 < count * dtype.itemsize:
         raise TruncatedData(f"{path}: raster shorter than {width}x{height}")
-    return np.frombuffer(buf, dtype=dtype, count=count,
-                         offset=pos + 1).astype(np.float64)
+    raw = np.frombuffer(buf, dtype=dtype, count=count, offset=pos + 1)
+    with np.errstate(invalid="ignore"):   # signalling NaNs; PFM rejects them
+        return raw.astype(np.float64)
 
 
 def load_gray(path) -> GrayImage:

@@ -8,8 +8,9 @@ accepts it when the NFA is at most epsilon and the self-similarity veto
 passes.  Pixels whose block leaves the reference image are Border; pixels
 with no candidate block inside the secondary image reject as NotMeaningful.
 
-match_pair is the fast batch path; match_pixel scores one pixel with the
-same kernels (top_components, candidate_nfa_block, min_self_ssd_map) but
+scan_band makes that decision for a block of pixels.  match_pair, the fast
+path, runs it on row bands with the NFAs of whole-band projections;
+match_pixel runs it on one pixel with the NFAs of scan_candidates, which
 projects each block on its own, as the test oracle does.  A BLAS product's
 last bits can depend on how many rows it has, so where two candidates' NFAs
 tie closely the two paths can pick different disparities.  Both are
@@ -50,7 +51,6 @@ class CandidateScore:
     disparity: int
     quantized: tuple[float, ...]
     nfa: float
-    cross_ssd: float
 
 
 def component_order(image: GrayImage, basis: PatchBasis,
@@ -149,86 +149,91 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
     slots, hq = reference_tables(reference, model, order)
     del model, order   # the scan reads the secondary's ranks only
 
-    hi = reference.height - side + 1
-    wi_r = reference.width - side + 1
+    hi, wi_r = patch_model.interior_shape(reference, side)
     wi_s = secondary.width - side + 1
     m, u = ranks.shape
     slot3 = slots.reshape(hi, wi_r, params.num_components)
     hq3 = hq.reshape(hi, wi_r, params.num_components)
-    flat_ranks = ranks.reshape(-1)
     n_test = core.number_of_tests(reference.width * reference.height, params)
 
-    # (d, first column, end column) of every disparity with a candidate
-    # block inside the secondary image, in candidate order
-    spans = [(d, max(0, -d), min(wi_r, wi_s - d))
-             for d in params.candidate_order()]
-    spans = [span for span in spans if span[1] < span[2]]
-    has_candidate = np.zeros(wi_r, dtype=bool)
-    for _, lo, hi_col in spans:
-        has_candidate[lo:hi_col] = True
+    state = np.full(reference.pixels.shape, CellState.BORDER, dtype=np.uint8)
+    disparity = np.zeros(reference.pixels.shape, dtype=np.int32)
+    nfa = np.full(reference.pixels.shape, np.nan)
 
+    def band(rows):
+        # flat index of (secondary block at disparity 0, slot) in ranks;
+        # disparity d adds d * u
+        y, x = np.ogrid[rows, :wi_r]
+        at_zero = ((y * wi_s + x) * u)[..., None] + slot3[rows]
+
+        def nfa_at(d, lo, hi_col):
+            # a secondary block's CDF value is its rank over m
+            hqp = np.take(ranks, at_zero[:, lo:hi_col] + d * u) / m
+            return candidate_nfa_block(hq3[rows, lo:hi_col], hqp, n_test,
+                                       params.num_levels)
+
+        out = np.s_[half + rows.start:half + rows.stop, half:half + wi_r]
+        state[out], disparity[out], nfa[out] = scan_band(
+            rows, slice(0, wi_r), nfa_at, reference, secondary, params, mode)
+
+    bands.run_bands(band, hi)
+    return DisparityMap(state=state, disparity=disparity, nfa=nfa)
+
+
+def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
+              secondary: GrayImage, params: AcbmParams, mode: MatchMode):
+    """(state, disparity, nfa) of the interior pixels in rows x cols (bounded
+    slices of the interior grid); disparity 0 and nfa NaN where not accepted.
+    nfa_at(d, lo, hi) gives the NFAs at disparity d of the rows' interior
+    columns lo to hi - 1, whose blocks at d lie inside the secondary image.
+    Every pixel sees the disparities in candidate order, and a strictly
+    smaller metric (the NFA, or the cross SSD in SS_ONLY) replaces the best
+    so far."""
+    side = params.block_side
+    wi_s = secondary.width - side + 1
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
     by_ssd = mode is MatchMode.SS_ONLY
     need_cross = mode is not MatchMode.ACBM_ONLY
 
-    best_nfa = np.full((hi, wi_r), np.inf)
-    best_cross = np.full((hi, wi_r), np.inf)
-    best_d = np.zeros((hi, wi_r), dtype=np.int32)
-    ss_ok = np.zeros((hi, wi_r), dtype=bool)
-
-    def scan_band(rows):
-        # every pixel of the band sees the disparities in candidate order;
-        # a strictly smaller metric replaces the best so far
-        band_nfa, band_cross = best_nfa[rows], best_cross[rows]
-        band_d = best_d[rows]
-        band_metric = band_cross if by_ssd else band_nfa
-        # flat index of (secondary block at disparity 0, slot) in ranks;
-        # disparity d adds d * u
-        y = np.arange(rows.start, rows.stop)[:, None, None]
-        x = np.arange(wi_r)[None, :, None]
-        at_zero = (y * wi_s + x) * u + slot3[rows]
-        hq_band = hq3[rows]
-        for d, lo, hi_col in spans:
-            # a secondary block's CDF value is its rank over m
-            hqp = np.take(flat_ranks, at_zero[:, lo:hi_col] + d * u) / m
-            nfa_d = candidate_nfa_block(hq_band[:, lo:hi_col], hqp, n_test,
-                                        params.num_levels)
-            if need_cross:
-                cross = self_sim.aligned_ssd_map(
-                    reference, secondary, d, side, rows)[:, lo:hi_col]
-            upd = (cross if by_ssd else nfa_d) < band_metric[:, lo:hi_col]
-            np.copyto(band_nfa[:, lo:hi_col], nfa_d, where=upd)
-            np.copyto(band_d[:, lo:hi_col], d, where=upd)
-            if need_cross:
-                np.copyto(band_cross[:, lo:hi_col], cross, where=upd)
+    # NaN before a pixel's first candidate, so "not >=" takes the first
+    # candidate and then only a strictly smaller metric
+    best_nfa = np.full(shape, np.nan)
+    best_cross = np.full(shape, np.nan)
+    best_d = np.zeros(shape, dtype=np.int32)
+    best_metric = best_cross if by_ssd else best_nfa
+    for d in params.candidate_order():
+        lo, hi = max(cols.start, -d), min(cols.stop, wi_s - d)
+        if lo >= hi:
+            continue
+        at = np.s_[:, lo - cols.start:hi - cols.start]
+        nfa_d = nfa_at(d, lo, hi)
         if need_cross:
-            ss_ok[rows] = band_cross < self_sim.min_self_ssd_map(
-                reference, params.search_radius, side, rows)
+            cross = self_sim.aligned_ssd_map(reference, secondary, d, side,
+                                             rows)[:, lo:hi]
+        upd = ~((cross if by_ssd else nfa_d) >= best_metric[at])
+        np.copyto(best_nfa[at], nfa_d, where=upd)
+        np.copyto(best_d[at], d, where=upd)
+        if need_cross:
+            np.copyto(best_cross[at], cross, where=upd)
 
-    bands.run_bands(scan_band, hi)
-
-    passed = has_candidate & (by_ssd | (best_nfa <= params.epsilon))
-    vetoed = passed & ~ss_ok & need_cross
+    passed = ~np.isnan(best_nfa) & (by_ssd | (best_nfa <= params.epsilon))
+    vetoed = np.zeros(shape, dtype=bool)
+    if need_cross:
+        vetoed = passed & ~(best_cross < self_sim.min_self_ssd_map(
+            reference, params.search_radius, side, rows)[:, cols])
     accepted = passed & ~vetoed
-    state_in = np.select([accepted, vetoed],
-                         [CellState.ACCEPTED, CellState.SELF_SIMILAR],
-                         CellState.NOT_MEANINGFUL)
-
-    h, w = reference.height, reference.width
-    state = np.full((h, w), CellState.BORDER, dtype=np.uint8)
-    disparity = np.zeros((h, w), dtype=np.int32)
-    nfa = np.full((h, w), np.nan)
-    core_rows = np.s_[half:half + hi, half:half + wi_r]
-    state[core_rows] = state_in
-    disparity[core_rows] = np.where(accepted, best_d, 0)
-    nfa[core_rows] = np.where(accepted, best_nfa, np.nan)
-    return DisparityMap(state=state, disparity=disparity, nfa=nfa)
+    state = np.select([accepted, vetoed],
+                      [CellState.ACCEPTED, CellState.SELF_SIMILAR],
+                      CellState.NOT_MEANINGFUL)
+    return (state, np.where(accepted, best_d, 0),
+            np.where(accepted, best_nfa, np.nan))
 
 
 def scan_candidates(q: tuple[int, int], model: BackgroundModel,
                     params: AcbmParams, reference: GrayImage,
                     secondary: GrayImage) -> list[CandidateScore]:
-    """Every candidate of pixel q with its quantized levels, NFA and block
-    SSD, in ascending disparity order.  Each block is projected on its own.
+    """Every candidate of pixel q with its quantized levels and NFA, in
+    ascending disparity order.  Each block is projected on its own.
     Inspection and testing hook."""
     x, y = q
     side = params.block_side
@@ -239,11 +244,10 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     r = params.search_radius
     disparities = [d for d in range(-r, r + 1)
                    if half <= x + d < secondary.width - half]
-    block_q = patch_model.extract_block(reference, q, side)
-    blocks = [patch_model.extract_block(secondary, (x + d, y), side)
-              for d in disparities]
-    coeffs = np.array([patch_model.project(model.basis, b)
-                       for b in [block_q] + blocks])
+    blocks = [patch_model.extract_block(reference, q, side)]
+    blocks += [patch_model.extract_block(secondary, (x + d, y), side)
+               for d in disparities]
+    coeffs = np.array([patch_model.project(model.basis, b) for b in blocks])
     order = core.top_components(coeffs[:1], params.num_components)[0]
     h = np.stack([patch_model.cdf_eval(model.cdfs[j], coeffs[:, i])
                   for i, j in zip(order, model.slots(order))], axis=1)
@@ -251,37 +255,30 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     levels = core.quantize_array(core.resemblance_probability(h[0], h[1:]),
                                  params.num_levels)
     nfas = candidate_nfa_block(h[0], h[1:], n_test, params.num_levels)
-    return [CandidateScore(d, tuple(lv), nfa, self_sim.ssd(block_q, b))
-            for d, lv, nfa, b in zip(disparities, levels.tolist(),
-                                     nfas.tolist(), blocks)]
+    return [CandidateScore(d, tuple(lv), nfa)
+            for d, lv, nfa in zip(disparities, levels.tolist(), nfas.tolist())]
 
 
 def match_pixel(q: tuple[int, int], model: BackgroundModel,
                 params: AcbmParams, reference: GrayImage,
                 secondary: GrayImage,
                 mode: MatchMode = MatchMode.ACBM_SS) -> MatchDecision:
-    """Single-pixel decision by the rules of match_pair, on scan_candidates'
-    one-block projections (see the module docstring)."""
+    """Single-pixel decision: match_pair's scan_band on q alone, with the
+    NFAs of scan_candidates' one-block projections (see the module
+    docstring)."""
     if reference.height != secondary.height:
         raise HeightMismatch(f"heights {reference.height} and "
                              f"{secondary.height} differ")
-    scores = scan_candidates(q, model, params, reference, secondary)
-    if not scores:
-        return MatchDecision(q, CellState.NOT_MEANINGFUL, None, None)
-    by_ssd = mode is MatchMode.SS_ONLY
-    best = min(scores, key=lambda s: (s.cross_ssd if by_ssd else s.nfa,
-                                      abs(s.disparity), s.disparity))
-    if not by_ssd and not best.nfa <= params.epsilon:
-        return MatchDecision(q, CellState.NOT_MEANINGFUL, None, None)
-    if mode is not MatchMode.ACBM_ONLY:
-        half = params.block_side // 2
-        yi = q[1] - half
-        min_self = self_sim.min_self_ssd_map(
-            reference, params.search_radius, params.block_side,
-            slice(yi, yi + 1))[0, q[0] - half]
-        if not best.cross_ssd < min_self:
-            return MatchDecision(q, CellState.SELF_SIMILAR, None, None)
-    return MatchDecision(q, CellState.ACCEPTED, best.disparity, best.nfa)
+    nfas = {s.disparity: s.nfa
+            for s in scan_candidates(q, model, params, reference, secondary)}
+    x, y = (c - params.block_side // 2 for c in q)
+    state, d, nfa = (a.item() for a in scan_band(
+        slice(y, y + 1), slice(x, x + 1),
+        lambda d, lo, hi: np.full((1, 1), nfas[d]),
+        reference, secondary, params, mode))
+    accepted = state == CellState.ACCEPTED
+    return MatchDecision(q, CellState(state), d if accepted else None,
+                         nfa if accepted else None)
 
 
 def _neighborhood(a: np.ndarray) -> np.ndarray:

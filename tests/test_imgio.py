@@ -172,11 +172,15 @@ def test_pfm_color_rejected(tmp_path):
 
 
 def test_pfm_nonfinite_rejected(tmp_path):
-    raster = np.array([[np.inf]], dtype="<f4").tobytes()
-    path = tmp_path / "inf.pfm"
-    path.write_bytes(b"Pf\n1 1\n-1.0\n" + raster)
-    with pytest.raises(UnsupportedFormat):
-        load_gray(path)
+    # +inf, two signalling NaNs and a quiet NaN, in both byte orders; a
+    # signalling NaN sets numpy's invalid flag when widened to float64
+    path = tmp_path / "nonfinite.pfm"
+    for word in (0x7F800000, 0x7F800001, 0xFFBFFFFF, 0x7FC00000):
+        for order, scale in (("<", b"-1.0"), (">", b"1.0")):
+            raster = np.array([word], dtype=order + "u4").tobytes()
+            path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + raster)
+            with pytest.raises(UnsupportedFormat, match="non-finite"):
+                load_gray(path)
 
 
 def test_pfm_zero_scale(tmp_path):

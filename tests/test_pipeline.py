@@ -454,6 +454,32 @@ def test_match_pixel_agrees_on_non_integer_image():
                 assert got.nfa == dense.nfa[y, x], (x, y)
 
 
+@pytest.mark.parametrize("shift, expected", [(1, -1), (2, 0)])
+def test_exact_ties_follow_candidate_order(shift, expected):
+    # period-2 stripes: a block equals the blocks two columns away, so at
+    # shift 1 the candidates d = -1 and 1 tie exactly and the negative one
+    # wins; at shift 2, d = -2, 0 and 2 tie and the smallest |d| wins
+    ref, sec, _ = gen_translated_pair(40, 40, shift, texture_seed=5,
+                                      stripe_rows=(12, 28), stripe_period=2)
+    params = AcbmParams(search_radius=3, block_side=5, num_components=5,
+                        epsilon=1e6)
+    model = learn_background_model(sec, 5)
+    mode = MatchMode.ACBM_ONLY   # the veto rejects every striped pixel
+    dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+    # blocks inside the stripes whose candidates all fit in the image
+    inside = np.s_[14:26, 5:35]
+    assert (dense.state[inside] == CellState.ACCEPTED).all()
+    assert (dense.disparity[inside] == expected).all()
+    for y in (14, 19, 25):
+        for x in range(5, 35, 2):
+            nfas = {s.disparity: s.nfa
+                    for s in scan_candidates((x, y), model, params, ref, sec)}
+            assert nfas[expected] == nfas[expected + 2] == min(nfas.values())
+            got = match_pixel((x, y), model, params, ref, sec, mode=mode)
+            assert got.state == dense.state[y, x] == CellState.ACCEPTED
+            assert got.disparity == dense.disparity[y, x] == expected
+
+
 def test_one_block_secondary_is_too_small():
     # a 5x5 secondary at block side 5 has a single block: no CDF can be
     # learned from it, with or without a given basis
