@@ -6,24 +6,22 @@ is cut into bands of BAND_ROWS rows that are processed independently.  Each
 band task writes its own rows of arrays that the calling thread allocated,
 so results do not depend on the number of pool threads.  They depend on the
 band height only through BLAS: a matrix product can round its last bits
-differently by row count, and by BLAS thread count.  Band tasks always run
-on one BLAS thread, so only the row count matters to them.  Under OpenBLAS
-0.3.31 (Haswell kernels), at block side 9, a projection of up to 14 rows
-and a Monte-Carlo rebuild of up to 152 rows differ from longer products;
-with two BLAS threads, which only products outside the pool can use,
-projections of 80 and 81 rows differ too.  At block side 5 a rebuild of up
+differently by row count.  Under OpenBLAS 0.3.31 (Haswell kernels), at
+block side 9, a projection of up to 14 rows and a Monte-Carlo rebuild of up
+to 152 rows differ from longer products; at block side 5 a rebuild of up
 to 1000 rows differs, and at 17 both products differ at nearly every row
 count.  So on narrow images, and at block side 17 on any image, the tables
 and the Monte-Carlo counts can change with the band height.
 
 The pool has one worker per CPU this process may run on.  Its threads start
-on the first task, not at import.  While any caller is inside run_parallel,
-numpy's bundled OpenBLAS is capped at one thread, and the caller's count
-comes back when the last such caller leaves: uncapped, each worker's
-product starts BLAS threads of its own, which spin on the CPUs the other
-workers need.  The cap is process-wide, so a product that another thread
-makes meanwhile also runs on one thread.  Without an OpenBLAS whose count
-can be set, the pool runs uncapped.
+on the first task, not at import.  Every BLAS product acbm makes runs in a
+pool task, and run_parallel caps numpy's bundled OpenBLAS at one thread for
+its whole call and then restores the caller's count.  So no result depends
+on the caller's BLAS thread count, and no worker's product starts BLAS
+threads that spin on the CPUs the other workers need.  One call runs at a
+time: overlapping callers take turns.  The cap is process-wide, so a
+product that another thread makes meanwhile also runs on one thread.
+Without an OpenBLAS whose count can be set, the pool runs uncapped.
 
 A band task must not submit work to the pool itself: once every worker
 waits on the pool it runs on, none is left to run the work, so
@@ -37,7 +35,6 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -57,9 +54,7 @@ _POOL = ThreadPoolExecutor(max_workers=_WORKERS,
                            thread_name_prefix="acbm-band",
                            initializer=_mark_worker)
 
-_BLAS_LOCK = threading.Lock()
-_blas_callers = 0   # run_parallel calls inside the one-thread cap
-_blas_saved = 0     # the count to restore when the last of them leaves
+_LOCK = threading.Lock()   # one run_parallel call at a time
 
 
 @functools.cache
@@ -79,30 +74,6 @@ def _openblas():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread inside the block: the first caller in saves
-    the count and the last one out restores it."""
-    global _blas_callers, _blas_saved
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _BLAS_LOCK:
-        if _blas_callers == 0:
-            _blas_saved = get()
-            put(1)
-        _blas_callers += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _blas_callers -= 1
-            if _blas_callers == 0:
-                put(_blas_saved)
-
-
 def row_bands(rows: int) -> list[slice]:
     """Consecutive BAND_ROWS-row slices covering range(rows); the last one
     may be shorter."""
@@ -114,12 +85,22 @@ def run_parallel(task, items) -> list:
     """task(item) for every item on the pool, results in item order.  Waits
     for every task before raising the first error, so no task still writes
     into the caller's arrays once this returns or raises.  The tasks run on
-    one BLAS thread.  Raises RuntimeError when called from a pool worker."""
+    one BLAS thread, and one call at a time.  Raises RuntimeError when
+    called from a pool worker."""
+    # checked before the lock, which the caller of that worker's task holds
     if getattr(_IN_POOL, "worker", False):
         raise RuntimeError("a band task cannot submit work to the band pool")
-    with _one_blas_thread():
-        futures = [_POOL.submit(task, item) for item in items]
-        wait(futures)
+    blas = _openblas()
+    with _LOCK:
+        if blas is not None:
+            saved = blas[0]()
+            blas[1](1)
+        try:
+            futures = [_POOL.submit(task, item) for item in items]
+            wait(futures)
+        finally:
+            if blas is not None:
+                blas[1](saved)
     return [f.result() for f in futures]
 
 

@@ -211,7 +211,8 @@ def compute_patch_basis(image: GrayImage, block_side: int) -> PatchBasis:
         blocks = blocks.copy()  # a one-column interior reshapes to a view
     mean = blocks.mean(axis=0)
     blocks -= mean  # centered in place: the only (n, s) table
-    cov = blocks.T @ blocks / blocks.shape[0]
+    # a pool task, so on one BLAS thread: the count changes the sum's bits
+    cov = bands.run_parallel(lambda b: b.T @ b, [blocks])[0] / blocks.shape[0]
     cov = (cov + cov.T) * 0.5
     eigenvalues, vectors = jacobi_eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")
@@ -381,15 +382,11 @@ def sample_coefficients(cdfs: np.ndarray, rng: np.random.Generator,
     return uniform
 
 
-def learn_background_model(image: GrayImage, block_side: int = 9,
-                           basis: PatchBasis | None = None) -> BackgroundModel:
-    """Basis (learned from the image unless given) plus that image's CDFs
-    of all s components."""
-    if basis is None:
-        basis = compute_patch_basis(image, block_side)
-    elif basis.block_side != block_side:
-        raise DimensionMismatch(f"basis block side {basis.block_side} != "
-                                f"requested {block_side}")
+def learn_background_model(image: GrayImage,
+                           block_side: int = 9) -> BackgroundModel:
+    """Basis learned from the image plus that image's CDFs of all s
+    components."""
+    basis = compute_patch_basis(image, block_side)
     cdfs = training_values(basis, image, np.arange(basis.size))
     bands.run_parallel(lambda i: cdfs[i].sort(), range(basis.size))
     return BackgroundModel(basis, cdfs)

@@ -11,10 +11,11 @@ with no candidate block inside the secondary image reject as NotMeaningful.
 scan_band makes that decision for a block of pixels.  match_pair, the fast
 path, runs it on row bands with the NFAs of whole-band projections;
 match_pixel runs it on one pixel with the NFAs of scan_candidates, which
-projects each block on its own, as the test oracle does.  A BLAS product's
-last bits can depend on how many rows it has, so where two candidates' NFAs
-tie closely the two paths can pick different disparities.  Both are
-deterministic.
+projects each block on its own, as the test oracle does.  Every product
+runs in a band-pool task, on one BLAS thread, so neither path depends on the
+caller's BLAS thread count.  A product's last bits can depend on how many
+rows it has, so where two candidates' NFAs tie closely the two paths can
+pick different disparities.  Both are deterministic.
 """
 from __future__ import annotations
 
@@ -247,7 +248,9 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     blocks = [patch_model.extract_block(reference, q, side)]
     blocks += [patch_model.extract_block(secondary, (x + d, y), side)
                for d in disparities]
-    coeffs = np.array([patch_model.project(model.basis, b) for b in blocks])
+    # one pool task, so on one BLAS thread
+    coeffs = bands.run_parallel(lambda bs: np.array(
+        [patch_model.project(model.basis, b) for b in bs]), [blocks])[0]
     order = core.top_components(coeffs[:1], params.num_components)[0]
     h = np.stack([patch_model.cdf_eval(model.cdfs[j], coeffs[:, i])
                   for i, j in zip(order, model.slots(order))], axis=1)

@@ -69,39 +69,53 @@ def test_blas_count_restored_after_a_task_raises(caller_threads):
 
 
 @needs_blas
-def test_blas_count_restored_after_overlapping_callers(caller_threads):
-    # B enters while A's task runs and its task reads the count after A has
-    # returned: A must not restore the count under B's task, nor B restore
-    # the one A set
+def test_blas_count_restored_after_overlapping_callers(caller_threads,
+                                                       monkeypatch):
+    # B calls while A's task runs: it waits for the pool, and its task
+    # starts only once A's call is done.  B saves the count A put back, so
+    # the caller's count is back after each call
     get, _ = BLAS
-    a_running, b_running, a_returned = (threading.Event() for _ in range(3))
-    seen = {}
+    b_waits, b_holds = threading.Event(), threading.Event()
+
+    class Lock:
+        """The pool's lock, telling when B has to wait for it.  A, leaving
+        it, goes on only once B holds it: a count that A restored after
+        leaving would land under B's call."""
+        lock = threading.Lock()
+
+        def __enter__(self):
+            if not self.lock.acquire(blocking=False):
+                b_waits.set()
+                self.lock.acquire()
+                b_holds.set()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+            if b_waits.is_set():
+                b_holds.wait(timeout=30)
+
+    monkeypatch.setattr(bands, "_LOCK", Lock())
+    log, seen = [], {}
+
+    def call_b():
+        seen["b"] = bands.run_parallel(task_b, [0])
+        seen["count after b"] = get()
+
+    caller_b = threading.Thread(target=call_b, daemon=True)
 
     def task_a(_):
-        a_running.set()
-        # with one worker, B's task starts only once this one ends
-        b_running.wait(timeout=5)
-        return get()
+        caller_b.start()
+        waited = b_waits.wait(timeout=30)   # B is at the lock: never runs out
+        log.append("a")
+        return waited, get()
 
     def task_b(_):
-        b_running.set()
-        a_returned.wait(timeout=30)
+        log.append("b")
         return get()
 
-    def caller_a():
-        seen["a"] = bands.run_parallel(task_a, [0])
-        a_returned.set()
-
-    def caller_b():
-        a_running.wait(timeout=30)
-        seen["b"] = bands.run_parallel(task_b, [0])
-
-    callers = [threading.Thread(target=f, daemon=True)
-               for f in (caller_a, caller_b)]
-    for caller in callers:
-        caller.start()
-    for caller in callers:
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-    assert seen == {"a": [1], "b": [1]}
+    assert bands.run_parallel(task_a, [0]) == [(True, 1)]
+    caller_b.join(timeout=30)
+    assert not caller_b.is_alive()
+    assert log == ["a", "b"]
+    assert seen == {"b": [1], "count after b": caller_threads}
     assert get() == caller_threads

@@ -5,7 +5,8 @@ values in the same commit and says which scenes changed.
 
 The scenes are small, each basis is learned once, and at near ties the
 bytes depend on how the BLAS rounds a product's last bits (see the pipeline
-and bands docstrings), so a different BLAS build can fail here.
+and bands docstrings), so a different BLAS build can fail here.  The
+caller's BLAS thread count cannot: every product runs on one BLAS thread.
 """
 import functools
 import hashlib
@@ -154,7 +155,19 @@ def test_saturated_monte_carlo_counts():
              3345.0),
             (AcbmParams(search_radius=2, epsilon=1e6), 2299.0),
             (AcbmParams(search_radius=2, epsilon=1e6, num_components=20,
-                        num_levels=12), 248.5)]
+                        num_levels=12), 248.5),
+            (AcbmParams(search_radius=2, epsilon=1e6, num_components=81),
+             5.0)]
     for params, expected in runs:
         got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
         assert got == expected, params
+
+
+def test_h0_monte_carlo_count():
+    # the benchmark's h0 operation on a fixed texture, at an epsilon that
+    # leaves a count to compare
+    img = gen_texture(128, 128, seed=11)
+    model = learn_background_model(img)
+    params = AcbmParams(search_radius=5, epsilon=1e4)
+    assert monte_carlo_false_alarms(img, model, params, trials=2,
+                                    seed=0) == 98.0

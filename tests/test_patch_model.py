@@ -510,11 +510,10 @@ def test_training_ranks_on_components_equal_full_rows(image, dtype):
 ], ids=["texture", "saturated", "constant"])
 def test_learned_model_equals_training_ranks_model(image):
     # the two sort differently and could place -0.0 and 0.0 apart: bytes
-    basis = compute_patch_basis(saturated_square(96), 9)
-    model = learn_background_model(image, 9, basis=basis)
+    model = learn_background_model(image, 9)
     assert np.array_equal(model.components, np.arange(81))
-    assert model.cdfs.tobytes() == \
-        training_ranks(basis, image, np.arange(basis.size))[0].cdfs.tobytes()
+    assert model.cdfs.tobytes() == training_ranks(
+        model.basis, image, np.arange(81))[0].cdfs.tobytes()
 
 
 def test_training_ranks_need_two_blocks():
@@ -539,7 +538,7 @@ def test_build_cdfs_needs_blocks():
     img = GrayImage(np.zeros((3, 3)))
     basis = compute_patch_basis(GrayImage(np.arange(25.0).reshape(5, 5)), 3)
     with pytest.raises(ImageTooSmall):
-        learn_background_model(img, 3, basis=basis)
+        training_ranks(basis, img, np.arange(basis.size))
 
 
 def test_component1_tracks_image_histogram(texture_model):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
-                  match_pair, match_pixel)
+                  match_pair, match_pixel, patch_model)
 from acbm.errors import (BorderPixel, DimensionMismatch, HeightMismatch,
                          ImageTooSmall)
 from acbm.imgio import CellState, DisparityMap, GrayImage
@@ -352,29 +352,48 @@ def test_match_pair_repeats_byte_for_byte(banded_pair):
 
 @pytest.mark.skipif(bands._openblas() is None,
                     reason="numpy's OpenBLAS thread count cannot be set")
-def test_band_products_ignore_the_callers_blas_threads():
-    # a product of this pair's last secondary band (80 blocks) gets other
-    # bits at two BLAS threads than at one; each call leaves the caller's
-    # count as it found it
+def test_learned_basis_ignores_the_callers_blas_threads(monkeypatch):
+    # a product on two BLAS threads gets other bits than on one: the
+    # covariance of this texture's 17x17 blocks, and a projection of this
+    # pair's last secondary band (80 blocks).  Every product runs on one
+    # BLAS thread, so no output depends on the caller's count, and each
+    # call leaves that count as it found it
+    class Covariance(Exception):
+        pass
+
+    def capture(matrix):
+        # the 289x289 solve takes seconds and makes no BLAS product
+        raise Covariance(matrix.tobytes())
+
+    texture = gen_texture(48, 44, seed=0)
     ref, sec, _ = gen_translated_pair(48, 42, 1, texture_seed=3)
-    basis = compute_patch_basis(sec, 9)
     params = AcbmParams(search_radius=3, block_side=9)
+    probes = [(x, y) for y in (4, 20, 37) for x in range(4, 44, 3)]
     get, put = bands._openblas()
     before = get()
-    outputs = []
+    covariances, outputs = [], []
     try:
         for threads in (1, 2):
             put(threads)
-            model = learn_background_model(sec, 9, basis=basis)
+            with monkeypatch.context() as patched:
+                patched.setattr(patch_model, "jacobi_eigh", capture)
+                with pytest.raises(Covariance) as cov:
+                    compute_patch_basis(texture, 17)
+            covariances.append(cov.value.args[0])
             assert get() == threads
-            dmap = match_pair(ref, sec, params, basis=basis)
+            dmap = match_pair(ref, sec, params)   # learns the basis
+            assert get() == threads
+            model = learn_background_model(sec, 9)
+            assert get() == threads
+            pixels = [match_pixel(q, model, params, ref, sec) for q in probes]
             assert get() == threads
             false_alarms = monte_carlo_false_alarms(ref, model, params, 1)
             assert get() == threads
-            outputs.append((model.cdfs.tobytes(), dmap_bytes(dmap),
+            outputs.append((dmap_bytes(dmap), model.cdfs.tobytes(), pixels,
                             false_alarms))
     finally:
         put(before)
+    assert covariances[0] == covariances[1]
     assert outputs[0] == outputs[1]
 
 
@@ -413,7 +432,7 @@ def test_match_pixel_agrees_at_block_17():
     sec = GrayImage(np.roll(pixels, 2, axis=1))
     params = AcbmParams(search_radius=3, block_side=17, num_components=12)
     basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
-    model = learn_background_model(sec, 17, basis=basis)
+    model = training_ranks(basis, sec, np.arange(289))[0]
     order = component_order(ref, basis, 12)
     assert order.dtype == np.uint16 and order.max() > 255
     probes = [(x, y) for y in (8, 28, 39) for x in range(8, 36, 3)]
@@ -442,7 +461,7 @@ def test_match_pixel_agrees_on_non_integer_image():
     sec = GrayImage(np.roll(pixels, 2, axis=1))
     params = AcbmParams(search_radius=3, block_side=17, num_components=12)
     basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
-    model = learn_background_model(sec, 17, basis=basis)
+    model = training_ranks(basis, sec, np.arange(289))[0]
     dense = match_pair(ref, sec, params, basis=basis)
     assert dense.state[28, 20] == CellState.SELF_SIMILAR
     for y in range(8, 40):
