@@ -7,11 +7,9 @@ band task writes its own rows of arrays that the calling thread allocated,
 so results do not depend on the number of pool threads.  They depend on the
 band height only through BLAS: a matrix product can round its last bits
 differently by row count.  Under OpenBLAS 0.3.31 (Haswell kernels), at
-block side 9, a projection of up to 14 rows and a Monte-Carlo rebuild of up
-to 152 rows differ from longer products; at block side 5 a rebuild of up
-to 1000 rows differs, and at 17 both products differ at nearly every row
-count.  So on narrow images, and at block side 17 on any image, the tables
-and the Monte-Carlo counts can change with the band height.
+block side 9, a projection of up to 14 rows differs from longer products,
+and at 17 it differs at nearly every row count.  So on narrow images, and
+at block side 17 on any image, the tables can change with the band height.
 
 The pool has one worker per CPU this process may run on.  Its threads start
 on the first task, not at import.  Every BLAS product acbm makes runs in a

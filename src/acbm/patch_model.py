@@ -279,17 +279,25 @@ def training_ranks(basis: PatchBasis, image: GrayImage, components: np.ndarray,
         sv = sorted_values[i]
         perm = np.argsort(sv)
         sv[:] = sv[perm]
-        # last-occurrence rank of sv[k]: one past the end of its run of ties
-        run_end = np.empty(m, dtype=bool)
-        run_end[-1] = True
-        np.not_equal(sv[1:], sv[:-1], out=run_end[:-1])
-        ends = np.flatnonzero(run_end) + 1
         column = np.empty(m, dtype=ranks.dtype)
-        column[perm] = np.repeat(ends, np.diff(ends, prepend=0))
+        column[perm] = last_ranks(sv)
         ranks[:, i] = column
 
     bands.run_parallel(component, range(len(components)))
     return BackgroundModel(basis, sorted_values, components), ranks
+
+
+def last_ranks(sorted_row: np.ndarray) -> np.ndarray:
+    """Last-occurrence rank of every value of a sorted row of m values: one
+    past the end of its run of ties, np.searchsorted(row, row, "right"), in
+    the smallest unsigned type that holds m.  Over m it is cdf_eval's value
+    at that training value, bit for bit."""
+    m = sorted_row.size
+    run_end = np.empty(m, dtype=bool)
+    run_end[-1] = True
+    np.not_equal(sorted_row[1:], sorted_row[:-1], out=run_end[:-1])
+    ends = (np.flatnonzero(run_end) + 1).astype(np.min_scalar_type(m))
+    return np.repeat(ends, np.diff(ends, prepend=0))
 
 
 def cdf_eval(sorted_values: np.ndarray, value):
@@ -319,67 +327,6 @@ def cdf_eval(sorted_values: np.ndarray, value):
     out = np.empty(flat.shape)
     out[perm] = out_sorted
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def _inverse_cdf(sorted_values: np.ndarray, x: np.ndarray,
-                 steps: np.ndarray) -> np.ndarray:
-    """np.interp(x, ranks, sorted_values) with ranks = arange(1, m+1)/m, bit
-    for bit, written over x (each in [0, 1]); steps is np.diff(ranks).  The
-    ranks are uniform, so each x's interval follows from floor(x*m) and one
-    exact comparison each way with the rank values, not from a search."""
-    sv = sorted_values
-    m = sv.size
-    if m == 0:
-        raise ValueError("empty CDF")
-    # np.interp's slopes.  The last entry, -0.0, also serves index -1 (x
-    # below the first rank): there and at x >= 1 np.interp returns the end
-    # value, and -0.0 * (x - left) + value is that value, whatever its sign
-    slope = np.empty(m)
-    slope[-1] = -0.0
-    np.subtract(sv[1:], sv[:-1], out=slope[:-1])
-    slope[:-1] /= steps
-    if not np.isfinite(slope.max()):
-        # infinite or NaN values: leave np.interp's special cases to it
-        x[:] = np.interp(x, np.arange(1, m + 1) / m, sv)
-        return x
-    # k counts the ranks <= x; floor(x*m) is off by at most one either way
-    # while m is far below 2**52
-    k = np.floor(x * m)
-    left = k / m
-    low, high = (k + 1.0) / m <= x, left > x
-    if low.any() or high.any():
-        k += low
-        k -= high
-        np.divide(k, m, out=left)
-    k -= 1.0
-    j = k.astype(np.intp)
-    value = sv.take(j, mode="clip")   # sv[0] below the first rank
-    at_rank = x == left
-    x -= left
-    x *= slope.take(j)
-    x += value
-    # np.interp returns the value itself at a rank, which keeps a -0.0
-    np.copyto(x, value, where=at_rank)
-    return x
-
-
-def sample_coefficients(cdfs: np.ndarray, rng: np.random.Generator,
-                        count: int) -> np.ndarray:
-    """Draw count independent coefficient vectors, each component sampled by
-    inverse-CDF from its row of the (u, m) table of sorted training values:
-    np.interp(uniform, arange(1, m+1)/m, row), bit for bit.  The uniforms
-    are drawn as one (count, u) table, so the draws do not depend on the
-    order in which the columns are turned into values."""
-    uniform = rng.random((count, len(cdfs)))
-    m = cdfs.shape[1]
-    steps = np.diff(np.arange(1, m + 1) / m)
-    # each component's uniforms as one contiguous row, turned into values in
-    # place and copied back into the drawn table: two whole tables at a time
-    columns = np.ascontiguousarray(uniform.T)
-    for sv, column in zip(cdfs, columns):
-        _inverse_cdf(sv, column, steps)
-    uniform[...] = columns.T
-    return uniform
 
 
 def learn_background_model(image: GrayImage,

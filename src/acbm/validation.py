@@ -1,14 +1,17 @@
-"""Synthetic inputs, ground-truth handling and accuracy metrics.
+"""Synthetic inputs, ground-truth handling, accuracy metrics and the
+Monte-Carlo check of the false-alarm bound.
 
 Generators are deterministic per seed and produce integer-valued images so
 that PGM round-trips are lossless.  Evaluation follows one convention
 everywhere: density is accepted pixels over all pixels of the reference
 image, the bad-match rate counts accepted pixels inside the valid mask whose
-disparity is more than one pixel off.
+disparity is more than one pixel off.  The Monte-Carlo check scores a drawn
+block as match_pair scores a secondary block, by its training values' ranks,
+so the band height reaches its counts only through the reference's
+projection, as it reaches match_pair's tables (see bands).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +113,14 @@ def monte_carlo_false_alarms(image: GrayImage,
     model, and meaningful matches are counted with the same number of tests
     as a real run.  Returns the mean count per trial (expected <= epsilon).
 
-    One band pass projects the reference and groups each band's (pixel,
-    slot) cells by the component they test.  Each round draws the whole
-    table, then one band pass rebuilds and projects the drawn blocks again,
-    as a real candidate would be (under tied training values that round
-    trip does not return the uniform draws).  Reference and draws alike get
-    a component's CDF values only at the cells that test it.  Raises
-    DimensionMismatch unless the model has the params' block side and all
-    s components: a drawn block needs each."""
+    One band pass projects the reference and takes each pixel's N dominant
+    components and their CDF values.  A drawn block takes, for each of those
+    components, an independent uniform draw among the m sorted training
+    values, so each round draws one (pixels, N) table of sorted positions.
+    A cell scores the drawn value's last-occurrence rank over m: the CDF
+    value that match_pair gives a secondary block with that coefficient.
+    Raises DimensionMismatch unless the model has the params' block side and
+    the components the reference tests."""
     if trials < 1:
         raise ValueError("need at least one trial")
     basis, cdfs = model.basis, model.cdfs
@@ -125,49 +128,36 @@ def monte_carlo_false_alarms(image: GrayImage,
     if side != params.block_side:
         raise DimensionMismatch(f"model block side {side} != "
                                 f"params block side {params.block_side}")
-    if len(cdfs) != basis.size:
-        raise DimensionMismatch(f"sampling a block needs all {basis.size} "
-                                f"components, the model holds {len(cdfs)}")
     hi, wi = patch_model.interior_shape(image, side)
+    m = cdfs.shape[1]
     n_test = core.number_of_tests(image.width * image.height, params)
-    rounds = 2 * params.search_radius + 1
-
-    def cdf_values(groups, coeffs):
-        # component i's CDF is row i of the whole model's table
-        h = np.empty((len(coeffs), k))
-        for i, cells in groups:
-            h.flat[cells] = patch_model.cdf_eval(cdfs[i], coeffs[cells // k, i])
-        return h
+    slots = np.empty((hi * wi, k), dtype=np.intp)
+    hq = np.empty((hi * wi, k))
 
     def reference(rows):
-        # the reference fixes each component's cells for every round
         coeffs = patch_model.project(
             basis, patch_model.interior_blocks(image, side, rows))
-        order = core.top_components(coeffs, k).reshape(-1)
-        groups = [(i, np.flatnonzero(order == i)) for i in np.unique(order)]
-        return rows, groups, cdf_values(groups, coeffs)
+        band = model.slots(core.top_components(coeffs, k))
+        # each CDF only at the cells that test its component
+        h = np.empty(band.shape)
+        for r in np.unique(band):
+            cells = np.flatnonzero(band == r)
+            h.flat[cells] = patch_model.cdf_eval(
+                cdfs[r], coeffs[cells // k, model.components[r]])
+        slots[rows.start * wi:rows.stop * wi] = band
+        hq[rows.start * wi:rows.stop * wi] = h
 
-    def band_hits(band, coeffs):
-        rows, groups, hq = band
-        # a C-contiguous row slice: another operand layout changes BLAS bits
-        drawn = coeffs[rows.start * wi:rows.stop * wi]
-        drawn = patch_model.project(
-            basis, basis.mean_block + drawn @ basis.eigenvectors)
-        nfas = pipeline.candidate_nfa_block(hq, cdf_values(groups, drawn),
-                                            n_test, params.num_levels)
-        return int((nfas <= params.epsilon).sum())
-
-    reference_bands = bands.run_bands(reference, hi)
+    bands.run_bands(reference, hi)
+    ranks = np.stack([patch_model.last_ranks(row) for row in cdfs])
     counts = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
-        for _ in range(rounds):
-            # drawn whole, in sequence, so the draws do not depend on bands
-            coeffs = patch_model.sample_coefficients(cdfs, rng, hi * wi)
-            hits += sum(bands.run_parallel(
-                functools.partial(band_hits, coeffs=coeffs), reference_bands))
-            del coeffs   # freed before the next draw: one whole table at a time
+        for _ in range(2 * params.search_radius + 1):
+            drawn = rng.integers(m, size=(hi * wi, k))
+            nfas = pipeline.candidate_nfa_block(hq, ranks[slots, drawn] / m,
+                                                n_test, params.num_levels)
+            hits += int((nfas <= params.epsilon).sum())
         counts[t] = hits
     return float(counts.mean())
 

@@ -7,9 +7,13 @@ The scenes are small, each basis is learned once, and at near ties the
 bytes depend on how the BLAS rounds a product's last bits (see the pipeline
 and bands docstrings), so a different BLAS build can fail here.  The
 caller's BLAS thread count cannot: every product runs on one BLAS thread.
+
+`PYTHONPATH=src python tests/test_decisions.py` recomputes every expected
+value and prints it in this file's layout, ready to paste over the old one.
 """
 import functools
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,16 @@ EXPECTED = {
     },
 }
 
+# the striped scene at 12 levels and 20 components, epsilon 1e6
+EXPECTED_12_LEVELS_20_COMPONENTS = (
+    "f75cc380d4ca70dc34d7f652089219bb02fbf7c6042e7b53755fc91ae31080aa")
+
+# Monte-Carlo counts: the criterion-2 probe, the saturated runs of
+# SATURATED_RUNS and the benchmark's h0 operation
+CRITERION_2_PROBE = 3331.5
+SATURATED_COUNTS = [3253.0, 2291.5, 290.5, 32.5]
+H0_COUNT = 98.0
+
 
 @functools.cache
 def with_basis(scene):
@@ -117,8 +131,7 @@ def with_basis(scene):
     return ref, sec, compute_patch_basis(sec, 9)
 
 
-@pytest.mark.parametrize("scene", list(EXPECTED), ids=lambda s: s.__name__)
-def test_match_pair_decisions(scene):
+def decisions(scene):
     ref, sec, basis = with_basis(scene)
     got = {}
     for mode in MatchMode:
@@ -126,48 +139,109 @@ def test_match_pair_decisions(scene):
             params = AcbmParams(search_radius=5, epsilon=eps)
             got[mode.value, eps] = digest(match_pair(ref, sec, params,
                                                      basis=basis, mode=mode))
-    assert got == EXPECTED[scene]
+    return got
 
 
-def test_match_pair_decisions_at_12_levels_20_components():
+def decisions_at_12_levels_20_components():
     ref, sec, basis = with_basis(striped)
     params = AcbmParams(search_radius=5, epsilon=1e6, num_components=20,
                         num_levels=12)
-    assert digest(match_pair(ref, sec, params, basis=basis)) == \
-        "f75cc380d4ca70dc34d7f652089219bb02fbf7c6042e7b53755fc91ae31080aa"
+    return digest(match_pair(ref, sec, params, basis=basis))
 
 
-def test_criterion_2_probe_count():
+def criterion_2_probe():
     img = gen_texture(96, 96, seed=5)
     model = learn_background_model(img)
     params = AcbmParams(search_radius=3, epsilon=1e6)
-    assert monte_carlo_false_alarms(img, model, params, trials=2,
-                                    seed=3) == 3413.5
+    return monte_carlo_false_alarms(img, model, params, trials=2, seed=3)
 
 
-def test_saturated_monte_carlo_counts():
-    # 28% of the pixels saturated: many tied training values, which bias
-    # these counts upward (the exact H0 mean of the first run is 2880)
+# 28% of the pixels saturated: many tied training values.  Under the
+# image's own ranks the exact mean of the first run is 3335.4 (sd 37.5 over
+# 2 trials); 2880 is the value for uniform p, which ties do not give
+SATURATED_RUNS = [
+    AcbmParams(search_radius=2, epsilon=2e4, num_components=1),
+    AcbmParams(search_radius=2, epsilon=1e6),
+    AcbmParams(search_radius=2, epsilon=1e6, num_components=20,
+               num_levels=12),
+    AcbmParams(search_radius=2, epsilon=1e6, num_components=81)]
+
+
+def saturated_counts():
     img = gen_texture(80, 72, seed=2)
     img.pixels[10:50, 20:60] = 255.0
     model = learn_background_model(img)
-    runs = [(AcbmParams(search_radius=2, epsilon=2e4, num_components=1),
-             3345.0),
-            (AcbmParams(search_radius=2, epsilon=1e6), 2299.0),
-            (AcbmParams(search_radius=2, epsilon=1e6, num_components=20,
-                        num_levels=12), 248.5),
-            (AcbmParams(search_radius=2, epsilon=1e6, num_components=81),
-             5.0)]
-    for params, expected in runs:
-        got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
-        assert got == expected, params
+    return [monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
+            for params in SATURATED_RUNS]
 
 
-def test_h0_monte_carlo_count():
+def h0_count():
     # the benchmark's h0 operation on a fixed texture, at an epsilon that
     # leaves a count to compare
     img = gen_texture(128, 128, seed=11)
     model = learn_background_model(img)
     params = AcbmParams(search_radius=5, epsilon=1e4)
-    assert monte_carlo_false_alarms(img, model, params, trials=2,
-                                    seed=0) == 98.0
+    return monte_carlo_false_alarms(img, model, params, trials=2, seed=0)
+
+
+@pytest.mark.parametrize("scene", list(EXPECTED), ids=lambda s: s.__name__)
+def test_match_pair_decisions(scene):
+    assert decisions(scene) == EXPECTED[scene]
+
+
+def test_match_pair_decisions_at_12_levels_20_components():
+    assert decisions_at_12_levels_20_components() == \
+        EXPECTED_12_LEVELS_20_COMPONENTS
+
+
+def test_criterion_2_probe_count():
+    assert criterion_2_probe() == CRITERION_2_PROBE
+
+
+def test_saturated_monte_carlo_counts():
+    assert saturated_counts() == SATURATED_COUNTS
+
+
+def test_h0_monte_carlo_count():
+    assert h0_count() == H0_COUNT
+
+
+def number(x):
+    """x as in this file: 1e6 rather than 1000000.0."""
+    power = f"{x:.0e}".replace("e+0", "e")
+    return power if x >= 1e4 and float(power) == x else repr(x)
+
+
+def fixture_source(expected, at_12_20, probe, saturated, h0):
+    """The expected values as this file writes them."""
+    lines = ["EXPECTED = {"]
+    for scene, digests in expected.items():
+        lines.append(f"    {scene.__name__}: {{")
+        for (mode, eps), value in digests.items():
+            lines += [f'        ("{mode}", {number(eps)}):',
+                      f'            "{value}",']
+        lines.append("    },")
+    lines += ["}", "",
+              "# the striped scene at 12 levels and 20 components, "
+              "epsilon 1e6",
+              "EXPECTED_12_LEVELS_20_COMPONENTS = (", f'    "{at_12_20}")',
+              "",
+              "# Monte-Carlo counts: the criterion-2 probe, the saturated "
+              "runs of",
+              "# SATURATED_RUNS and the benchmark's h0 operation",
+              f"CRITERION_2_PROBE = {number(probe)}",
+              f"SATURATED_COUNTS = [{', '.join(map(number, saturated))}]",
+              f"H0_COUNT = {number(h0)}"]
+    return "\n".join(lines)
+
+
+def test_fixture_source_is_this_files_layout():
+    text = fixture_source(EXPECTED, EXPECTED_12_LEVELS_20_COMPONENTS,
+                          CRITERION_2_PROBE, SATURATED_COUNTS, H0_COUNT)
+    assert text in Path(__file__).read_text()
+
+
+if __name__ == "__main__":
+    print(fixture_source({scene: decisions(scene) for scene in EXPECTED},
+                         decisions_at_12_levels_20_components(),
+                         criterion_2_probe(), saturated_counts(), h0_count()))

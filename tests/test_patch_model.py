@@ -1,4 +1,4 @@
-"""Patch statistics: block extraction, PCA basis, empirical CDFs, sampling."""
+"""Patch statistics: block extraction, PCA basis, empirical CDFs and ranks."""
 import numpy as np
 import pytest
 
@@ -20,10 +20,10 @@ from acbm.patch_model import (
     extract_block,
     interior_blocks,
     jacobi_eigh,
+    last_ranks,
     learn_background_model,
     load_basis,
     project,
-    sample_coefficients,
     save_basis,
     training_ranks,
 )
@@ -553,50 +553,7 @@ def test_component1_tracks_image_histogram(texture_model):
     assert abs(np.corrcoef(qc, qp)[0, 1]) > 0.9
 
 
-# ---------------------------------------------------------------- sampling
-
-def test_sampling_deterministic(texture_model):
-    _, model = texture_model
-    a, b, c = (sample_coefficients(model.cdfs, np.random.default_rng(seed), 3)
-               for seed in (7, 7, 8))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert a.shape == (3, 81)
-
-
-def test_sampling_marginal_means(texture_model):
-    img, model = texture_model
-    coeffs = project(model.basis, interior_blocks(img, 9))
-    draws = sample_coefficients(model.cdfs, np.random.default_rng(1), 100_000)
-    for i in range(81):
-        train = coeffs[:, i]
-        se = train.std() / np.sqrt(draws.shape[0])
-        if se == 0.0:
-            assert np.allclose(draws[:, i], train.mean())
-        else:
-            assert abs(draws[:, i].mean() - train.mean()) <= 3.0 * se, i
-
-
-def test_sampling_matches_unsorted_interp(texture_model):
-    _, model = texture_model
-    got = sample_coefficients(model.cdfs, np.random.default_rng(3), 500)
-    u = np.random.default_rng(3).random((500, 81))
-    for i, cdf in enumerate(model.cdfs):
-        m = cdf.size
-        ref = np.interp(u[:, i], np.arange(1, m + 1) / m, cdf)
-        assert got[:, i].tobytes() == ref.tobytes(), i
-
-
-class FixedUniforms:
-    """Stands in for a Generator whose random() draws the given table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def random(self, shape):
-        assert shape == self.table.shape
-        return self.table.copy()
-
+# ------------------------------------------------------------------ ranks
 
 def edge_rows(m, rng):
     """Sorted rows of m values: random, tied, constant, signed zeros and
@@ -613,36 +570,16 @@ def edge_rows(m, rng):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 14400, 70001])
-def test_sampling_edges_match_interp(m):
-    # every rank k/m with both neighbours, the ends of [0, 1], values below
-    # the first rank and random ones; byte equality also tells -0.0 from 0.0
+def test_last_ranks_equal_searchsorted(m):
     rng = np.random.default_rng(m)
-    ranks = np.arange(1, m + 1) / m
-    u = np.concatenate([ranks, np.nextafter(ranks, 2.0),
-                        np.nextafter(ranks, -1.0),
-                        [0.0, np.nextafter(1.0, 0.0), 1.0, 0.5 / m,
-                         np.nextafter(0.0, 1.0)],
-                        rng.random(3000)])
     rows = edge_rows(m, rng)
+    # -0.0 and 0.0 compare equal, so they share one run of ties
     signs = np.signbit(rows[3][rows[3] == 0])
     assert signs.any() and (m == 1 or not signs.all())
-    got = sample_coefficients(rows, FixedUniforms(np.tile(u[:, None], 5)),
-                              u.size)
-    for i, row in enumerate(rows):
-        ref = np.interp(u, ranks, row)
-        assert got[:, i].tobytes() == ref.tobytes(), (m, i)
-
-
-def test_sampling_needs_values():
-    with pytest.raises(ValueError):
-        sample_coefficients(np.empty((2, 0)), np.random.default_rng(0), 3)
-
-
-def test_sampling_constant_model():
-    model = learn_background_model(GrayImage(np.full((16, 16), 40.0)), 3)
-    coeffs = sample_coefficients(model.cdfs, np.random.default_rng(0), 5)
-    blocks = model.basis.mean_block + coeffs @ model.basis.eigenvectors
-    assert np.allclose(blocks, 40.0)
+    for row in rows:
+        got = last_ranks(row)
+        assert got.dtype == np.min_scalar_type(m)
+        assert np.array_equal(got, np.searchsorted(row, row, "right"))
 
 
 # -------------------------------------------------------------- basis file

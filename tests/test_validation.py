@@ -1,5 +1,7 @@
-"""Synthetic generators, ground-truth loading, accuracy metrics."""
+"""Synthetic generators, ground-truth loading, accuracy metrics, the
+Monte-Carlo check."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -266,39 +268,41 @@ def test_monte_carlo_rejects_another_block_side(saturated_model):
 
 
 def test_monte_carlo_rejects_a_partial_model(saturated_model):
-    # a drawn block needs every component, used by the reference or not
+    # a drawn block needs only the components the reference tests
     img, model = saturated_model
-    params = AcbmParams(search_radius=2)
+    params = AcbmParams(search_radius=2, epsilon=1e6)
     order = pipeline.component_order(img, model.basis, params.num_components)
     used = np.unique(order)
     assert used.size < 81
-    for components in (used, np.delete(np.arange(81), used[0])):
-        partial, _ = patch_model.training_ranks(model.basis, img, components)
-        with pytest.raises(DimensionMismatch):
-            monte_carlo_false_alarms(img, partial, params, trials=1)
+    whole = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
+    partial, _ = patch_model.training_ranks(model.basis, img, used)
+    assert monte_carlo_false_alarms(img, partial, params, trials=2,
+                                    seed=9) == whole
+    lacking, _ = patch_model.training_ranks(
+        model.basis, img, np.delete(np.arange(81), used[0]))
+    with pytest.raises(DimensionMismatch):
+        monte_carlo_false_alarms(img, lacking, params, trials=1)
 
 
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
-    basis, cdfs = model.basis, model.cdfs
-    order = pipeline.component_order(image, basis, params.num_components)
-    _, hq = pipeline.reference_tables(image, model, order)
+    cdfs = model.cdfs
+    order = pipeline.component_order(image, model.basis, params.num_components)
+    slots, hq = pipeline.reference_tables(image, model, order)
     n_test = core.number_of_tests(image.width * image.height, params)
-    ranks = np.arange(1, cdfs.shape[1] + 1) / cdfs.shape[1]
+    m = cdfs.shape[1]
     counts = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
         for _ in range(2 * params.search_radius + 1):
-            # drawn and inverted here, independently of sample_coefficients
-            u = rng.random((len(order), len(cdfs)))
-            coeffs = np.stack([np.interp(u[:, i], ranks, cdf)
-                               for i, cdf in enumerate(cdfs)], axis=1)
-            blocks = basis.mean_block + coeffs @ basis.eigenvectors
-            projected = patch_model.project(basis, blocks)
-            hs = np.stack([patch_model.cdf_eval(cdf, projected[:, i])
-                           for i, cdf in enumerate(cdfs)], axis=1)
-            hqp = np.take_along_axis(hs, order, axis=1)
+            # a sorted training position per cell, scored by its rank here,
+            # independently of last_ranks
+            drawn = rng.integers(m, size=order.shape)
+            hqp = np.empty(order.shape)
+            for r, cdf in enumerate(cdfs):
+                at = slots == r
+                hqp[at] = np.searchsorted(cdf, cdf[drawn[at]], "right") / m
             nfas = pipeline.candidate_nfa_block(hq, hqp, n_test,
                                                 params.num_levels)
             hits += int((nfas <= params.epsilon).sum())
@@ -333,3 +337,82 @@ def test_monte_carlo_component_groups_equal_unbanded(saturated_model,
     got = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
     assert 0 < got < 5 * 64 * 72   # the threshold passes some cells, not all
     assert got == unbanded_false_alarms(img, model, params, trials=2, seed=9)
+
+
+def test_monte_carlo_counts_ignore_the_band_height(monkeypatch):
+    # 32 interior columns, so each band projects at least 32 rows and the
+    # reference keeps its bits; a product over the drawn blocks of a band
+    # would round differently by band height
+    pixels = gen_texture(40, 48, seed=0).pixels
+    pixels[10:30, 8:28] = 255.0
+    img = GrayImage(pixels)
+    model = learn_background_model(img)
+    params = AcbmParams(search_radius=2, epsilon=1e6)
+    counts = []
+    for rows in (1, 7, 32):
+        monkeypatch.setattr(bands, "BAND_ROWS", rows)
+        counts.append(monte_carlo_false_alarms(img, model, params, trials=2,
+                                               seed=9))
+    assert counts[0] > 1000 and counts == counts[:1] * 3
+
+
+def exact_false_alarms(image, model, params, trials):
+    """Mean and standard deviation of the mean false-alarm count per trial
+    of monte_carlo_false_alarms, from the exact law of each cell.
+
+    A drawn component takes each of the m sorted training positions with
+    probability 1/m, and scores that value's CDF value, the position's
+    last-occurrence rank over m.  Quantized against the pixel's reference
+    value this gives each slot's law over the level indices.  A dynamic
+    programme over (running maximum, sum of running maxima) across the N
+    slots, as in exact_h0_hit_probability, gives each pixel's hit
+    probability; cells are independent Bernoulli trials."""
+    levels, n = params.num_levels, params.num_components
+    order = pipeline.component_order(image, model.basis, n)
+    slots, hq = pipeline.reference_tables(image, model, order)
+    n_test = core.number_of_tests(image.width * image.height, params)
+    m = model.cdfs.shape[1]
+    values = np.stack([np.searchsorted(cdf, cdf, "right") / m
+                       for cdf in model.cdfs])
+    top = (levels - 1) * n
+    law = np.zeros((len(order), levels, top + 1))
+    law[:, 0, 0] = 1.0
+    for j in range(n):
+        index = core.quantize_index(core.resemblance_probability(
+            hq[:, j, None], values[slots[:, j]]), levels)
+        p_level = np.stack([(index == lv).mean(axis=1)
+                            for lv in range(levels)], axis=1)
+        step = np.zeros_like(law)
+        for run in range(levels):
+            for lv in range(levels):
+                mx = max(run, lv)
+                step[:, mx, mx:] += (law[:, run, :top + 1 - mx]
+                                     * p_level[:, lv, None])
+        law = step
+    nfa = n_test * np.ldexp(1.0, np.arange(top + 1) - top)
+    p = law[:, :, nfa <= params.epsilon].sum(axis=(1, 2))
+    rounds = 2 * params.search_radius + 1
+    return (rounds * p.sum(),
+            math.sqrt(rounds * (p * (1 - p)).sum() / trials))
+
+
+@pytest.mark.parametrize("saturate", [False, True], ids=["plain",
+                                                         "saturated"])
+@pytest.mark.parametrize("components, epsilon, exact", [
+    (1, 1e4, (1282.891, 1261.519)),
+    (9, 1e3, (6.067, 6.354)),
+], ids=["N1", "N9"])
+def test_monte_carlo_mean_matches_the_exact_law(saturate, components,
+                                                epsilon, exact):
+    # ties included: the saturated square ties many training values
+    pixels = gen_texture(40, 40, seed=4).pixels
+    if saturate:
+        pixels[8:24, 10:30] = 255.0
+    img = GrayImage(pixels)
+    model = learn_background_model(img)
+    params = AcbmParams(search_radius=2, epsilon=epsilon,
+                        num_components=components)
+    expected, sd = exact_false_alarms(img, model, params, trials=20)
+    assert round(expected, 3) == exact[saturate]
+    mean = monte_carlo_false_alarms(img, model, params, trials=20, seed=0)
+    assert abs(mean - expected) <= 5 * sd, (mean, expected, sd)
