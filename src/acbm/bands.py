@@ -4,12 +4,8 @@ Once the background model is learned, a reference pixel's tables and tests
 depend only on that model and on the pixel's own row, so the interior grid
 is cut into bands of BAND_ROWS rows that are processed independently.  Each
 band task writes its own rows of arrays that the calling thread allocated,
-so results do not depend on the number of pool threads.  They depend on the
-band height only through BLAS: a matrix product can round its last bits
-differently by row count.  Under OpenBLAS 0.3.31 (Haswell kernels), at
-block side 9, a projection of up to 14 rows differs from longer products,
-and at 17 it differs at nearly every row count.  So on narrow images, and
-at block side 17 on any image, the tables can change with the band height.
+so results do not depend on the number of pool threads.  Nor do they depend
+on the band height: each block is projected as its own product.
 
 The pool has one worker per CPU this process may run on.  Its threads start
 on the first task, not at import.  Every BLAS product acbm makes runs in a

@@ -62,4 +62,4 @@ class BorderPixel(AcbmError):
 
 
 class Overflow(AcbmError, OverflowError):
-    """Exact integer result exceeds the 64-bit range."""
+    """A result exceeds the range of its 64-bit type."""

@@ -32,11 +32,14 @@ from .errors import (CorruptHeader, TruncatedData, UnreadableFile,
 # Bytes-pattern \s is the six ASCII whitespace bytes Netpbm allows.
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 _INT32 = np.iinfo(np.int32)
+# the largest PGM or PFM sample; bounds every sum of squares acbm forms
+SAMPLE_LIMIT = float(np.finfo(np.float32).max)
 
 
 @dataclass(eq=False)
 class GrayImage:
-    """Single-channel image, float64 samples in row-major (row, column) order."""
+    """Single-channel image, float64 samples in row-major (row, column)
+    order, each finite and at most SAMPLE_LIMIT in magnitude."""
 
     pixels: np.ndarray
     maxval: float = 255.0
@@ -45,8 +48,10 @@ class GrayImage:
         self.pixels = np.ascontiguousarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
-        if not np.isfinite(self.pixels).all():
-            raise ValueError("image samples must be finite")
+        if not (-SAMPLE_LIMIT <= self.pixels.min() <= self.pixels.max()
+                <= SAMPLE_LIMIT):   # False for NaN
+            raise ValueError(f"image samples must be finite and at most "
+                             f"{SAMPLE_LIMIT:.8g} in magnitude")
 
     @property
     def height(self) -> int:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import bands
 from .errors import (BlockOutOfBounds, CorruptHeader, DimensionMismatch,
-                     EigenNoConvergence, ImageTooSmall, TruncatedData,
-                     UnsupportedFormat)
+                     EigenNoConvergence, ImageTooSmall, Overflow,
+                     TruncatedData, UnsupportedFormat)
 from .imgio import GrayImage, read_file, write_file
 
 BASIS_MAGIC = b"ACBM1"
@@ -118,9 +118,10 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Sweeps stop once the Frobenius norm of the off-diagonal part drops below
     1e-12 times the norm of the diagonal; raises EigenNoConvergence after 100
-    sweeps.  Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    unsorted.  Raises DimensionMismatch unless the matrix is square and equal
-    to its transpose (NaN matching NaN): the rotations rely on that symmetry.
+    sweeps, and Overflow when a norm leaves float64's range.  Returns
+    (eigenvalues, eigenvectors) with eigenvectors in columns, unsorted.
+    Raises DimensionMismatch unless the matrix is square and equal to its
+    transpose (NaN matching NaN): the rotations rely on that symmetry.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -141,11 +142,14 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     for sweeps in range(_JACOBI_MAX_SWEEPS + 1):
         d = np.diag(a)
-        if _off_norm() <= _JACOBI_TOL * np.sqrt((d * d).sum()):
+        with np.errstate(over="ignore"):
+            off, diag = _off_norm(), np.sqrt((d * d).sum())
+        if np.inf in (off, diag):
+            raise Overflow("matrix norm overflows float64")
+        if off <= _JACOBI_TOL * diag:
             return d.copy(), table[:, s:].T.copy()
         if sweeps < _JACOBI_MAX_SWEEPS:
-            with np.errstate(over="ignore"):  # huge entries overflow products
-                _sweep(table, s)
+            _sweep(table, s)   # finite norms: no product overflows
     raise EigenNoConvergence(f"off-diagonal mass {_off_norm():.3e} left after "
                              f"{_JACOBI_MAX_SWEEPS} sweeps")
 
@@ -224,16 +228,14 @@ def compute_patch_basis(image: GrayImage, block_side: int) -> PatchBasis:
 
 def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
     """Coefficients of one block (s,) or a stack of blocks (n, s) on the
-    centered basis."""
+    centered basis.  Each block is its own product, so its coefficients
+    have the same bits whatever other blocks share the call."""
     arr = np.asarray(blocks, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != basis.size:
-        raise DimensionMismatch(f"block length {arr.shape[1]} != basis size "
+    if arr.shape[-1] != basis.size:
+        raise DimensionMismatch(f"block length {arr.shape[-1]} != basis size "
                                 f"{basis.size}")
-    coeffs = (arr - basis.mean_block) @ basis.eigenvectors.T
-    return coeffs[0] if single else coeffs
+    return np.matmul((arr - basis.mean_block)[..., None, :],
+                     basis.eigenvectors.T)[..., 0, :]
 
 
 def training_values(basis: PatchBasis, image: GrayImage,

@@ -9,13 +9,10 @@ passes.  Pixels whose block leaves the reference image are Border; pixels
 with no candidate block inside the secondary image reject as NotMeaningful.
 
 scan_band makes that decision for a block of pixels.  match_pair, the fast
-path, runs it on row bands with the NFAs of whole-band projections;
-match_pixel runs it on one pixel with the NFAs of scan_candidates, which
-projects each block on its own, as the test oracle does.  Every product
-runs in a band-pool task, on one BLAS thread, so neither path depends on the
-caller's BLAS thread count.  A product's last bits can depend on how many
-rows it has, so where two candidates' NFAs tie closely the two paths can
-pick different disparities.  Both are deterministic.
+path, runs it on row bands; match_pixel runs it on one pixel with the NFAs
+of scan_candidates.  A block's coefficients are its own product
+(patch_model.project), run in a band-pool task on one BLAS thread, so both
+paths and the test oracle score every block with the same bits.
 """
 from __future__ import annotations
 
@@ -234,8 +231,7 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
                     params: AcbmParams, reference: GrayImage,
                     secondary: GrayImage) -> list[CandidateScore]:
     """Every candidate of pixel q with its quantized levels and NFA, in
-    ascending disparity order.  Each block is projected on its own.
-    Inspection and testing hook."""
+    ascending disparity order.  Inspection and testing hook."""
     x, y = q
     side = params.block_side
     half = side // 2
@@ -245,12 +241,12 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     r = params.search_radius
     disparities = [d for d in range(-r, r + 1)
                    if half <= x + d < secondary.width - half]
-    blocks = [patch_model.extract_block(reference, q, side)]
-    blocks += [patch_model.extract_block(secondary, (x + d, y), side)
-               for d in disparities]
+    blocks = np.stack([patch_model.extract_block(reference, q, side)] + [
+        patch_model.extract_block(secondary, (x + d, y), side)
+        for d in disparities])
     # one pool task, so on one BLAS thread
-    coeffs = bands.run_parallel(lambda bs: np.array(
-        [patch_model.project(model.basis, b) for b in bs]), [blocks])[0]
+    coeffs = bands.run_parallel(
+        lambda bs: patch_model.project(model.basis, bs), [blocks])[0]
     order = core.top_components(coeffs[:1], params.num_components)[0]
     h = np.stack([patch_model.cdf_eval(model.cdfs[j], coeffs[:, i])
                   for i, j in zip(order, model.slots(order))], axis=1)
@@ -267,8 +263,7 @@ def match_pixel(q: tuple[int, int], model: BackgroundModel,
                 secondary: GrayImage,
                 mode: MatchMode = MatchMode.ACBM_SS) -> MatchDecision:
     """Single-pixel decision: match_pair's scan_band on q alone, with the
-    NFAs of scan_candidates' one-block projections (see the module
-    docstring)."""
+    NFAs of scan_candidates."""
     if reference.height != secondary.height:
         raise HeightMismatch(f"heights {reference.height} and "
                              f"{secondary.height} differ")

@@ -6,9 +6,7 @@ that PGM round-trips are lossless.  Evaluation follows one convention
 everywhere: density is accepted pixels over all pixels of the reference
 image, the bad-match rate counts accepted pixels inside the valid mask whose
 disparity is more than one pixel off.  The Monte-Carlo check scores a drawn
-block as match_pair scores a secondary block, by its training values' ranks,
-so the band height reaches its counts only through the reference's
-projection, as it reaches match_pair's tables (see bands).
+block as match_pair scores a secondary block, by its training values' ranks.
 """
 from __future__ import annotations
 

@@ -3,10 +3,10 @@ fixed scenes.  A change that keeps every decision passes this file
 unchanged; a change that moves decisions by design updates the expected
 values in the same commit and says which scenes changed.
 
-The scenes are small, each basis is learned once, and at near ties the
-bytes depend on how the BLAS rounds a product's last bits (see the pipeline
-and bands docstrings), so a different BLAS build can fail here.  The
-caller's BLAS thread count cannot: every product runs on one BLAS thread.
+The scenes are small and each basis is learned once.  At near ties the
+bytes depend on how the BLAS build rounds a block's projection, so another
+BLAS build can fail here.  The band height and the caller's BLAS thread
+count cannot: each block is its own product, on one BLAS thread.
 
 `PYTHONPATH=src python tests/test_decisions.py` recomputes every expected
 value and prints it in this file's layout, ready to paste over the old one.

@@ -10,6 +10,7 @@ from acbm.errors import (
     WriteFailure,
 )
 from acbm.imgio import (
+    SAMPLE_LIMIT,
     CellState,
     DisparityMap,
     GrayImage,
@@ -345,6 +346,17 @@ def test_gray_image_validation():
         GrayImage(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         GrayImage(np.array([[np.nan]]))
+
+
+def test_gray_image_samples_are_bounded_by_float32():
+    # the largest sample a PGM or PFM file can hold; beyond it a block's
+    # sums of squares could leave float64
+    top = float(np.finfo(np.float32).max)
+    assert SAMPLE_LIMIT == top
+    GrayImage(np.array([[top, -top]]))
+    for bad in (np.nextafter(top, np.inf), -1e39, 1e39, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            GrayImage(np.array([[1.0, bad]]))
 
 
 def test_disparity_map_validation():

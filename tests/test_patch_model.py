@@ -9,12 +9,14 @@ from acbm.errors import (
     DimensionMismatch,
     EigenNoConvergence,
     ImageTooSmall,
+    Overflow,
     TruncatedData,
     UnsupportedFormat,
     WriteFailure,
 )
 from acbm.imgio import GrayImage
 from acbm.patch_model import (
+    PatchBasis,
     cdf_eval,
     compute_patch_basis,
     extract_block,
@@ -266,6 +268,18 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigh(m)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1e200, 1e200], [1e200, 1.0]],   # finite entries, squares overflow
+    [[np.inf, 0.0], [0.0, 1.0]],
+    np.diag([1.0, 1e160, 1e160]),     # only the diagonal's norm overflows
+], ids=["off-diagonal", "infinite", "diagonal"])
+def test_jacobi_norm_overflow_raises(matrix):
+    # an infinite norm would pass the stop test inf <= tol * inf at once
+    # and return the unrotated matrix
+    with pytest.raises(Overflow):
+        jacobi_eigh(np.array(matrix))
+
+
 def test_jacobi_nan_matrix_does_not_converge():
     m = np.eye(3)
     m[0, 2] = m[2, 0] = np.nan
@@ -397,6 +411,24 @@ def test_project_dimension_mismatch(texture_model):
         project(model.basis, np.zeros(80))
     with pytest.raises(DimensionMismatch):
         project(model.basis, np.zeros((4, 80)))
+
+
+@pytest.mark.parametrize("side", [3, 5, 9, 17])
+def test_project_rows_have_their_one_block_bits(side):
+    # a band task, scan_candidates and the oracle project the same block in
+    # calls of different sizes; a dense basis makes every coefficient a sum
+    # of s rounded products
+    s = side * side
+    rng = np.random.default_rng(side)
+    basis = PatchBasis(side, rng.normal(128.0, 10.0, s),
+                       rng.normal(size=(s, s)), np.ones(s))
+    blocks = interior_blocks(gen_texture(64, 64, seed=side), side)[:80]
+    one = np.stack([project(basis, b) for b in blocks])
+    for offset in (0, 37):
+        for rows in range(1, 41):
+            got = project(basis, blocks[offset:offset + rows])
+            assert got.tobytes() == one[offset:offset + rows].tobytes(), \
+                (offset, rows)
 
 
 # ------------------------------------------------------------------- CDFs

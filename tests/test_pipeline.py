@@ -20,6 +20,7 @@ from acbm.pipeline import (candidate_nfa_block, component_order,
                            reference_tables, scan_candidates)
 from acbm.validation import (gen_texture, gen_translated_pair,
                              monte_carlo_false_alarms)
+from test_decisions import EXPECTED, digest, flat, non_integer, saturated
 
 
 @pytest.fixture(scope="module")
@@ -229,19 +230,50 @@ def non_integer_pair():
     return ref, sec, params, model
 
 
+@pytest.fixture(scope="module")
+def narrow_pair():
+    """12 interior columns at block side 9: a one-row band projects 12
+    blocks, a 32-row band 384."""
+    ref, sec, _ = gen_translated_pair(20, 60, 1, texture_seed=23)
+    params = AcbmParams(search_radius=3)
+    return ref, sec, params, learn_background_model(sec)
+
+
+@pytest.fixture(scope="module")
+def block17_pair():
+    """10 interior columns at block side 17, under a dense orthonormal
+    basis: every coefficient sums 289 rounded products.  (Under an identity
+    basis each product but one is exactly 0, so no row count could change
+    a coefficient.)"""
+    pixels = np.random.default_rng(24).integers(0, 256, (50, 26)) * 1.0
+    pixels[30:] = np.where(np.arange(26) % 2, 255.0, 0.0)
+    ref = GrayImage(pixels)
+    sec = GrayImage(np.roll(pixels, 2, axis=1))
+    rng = np.random.default_rng(17)
+    vectors = np.linalg.qr(rng.normal(size=(289, 289)))[0]
+    basis = PatchBasis(17, np.full(289, 128.0), vectors, np.ones(289))
+    params = AcbmParams(search_radius=3, block_side=17, num_components=12)
+    return ref, sec, params, training_ranks(basis, sec, np.arange(289))[0]
+
+
 @pytest.mark.parametrize("band_rows", [1, 7, 1000])
 def test_match_pair_independent_of_band_height(banded_pair, non_integer_pair,
+                                               narrow_pair, block17_pair,
                                                band_rows, monkeypatch):
-    for ref, sec, params, model in (banded_pair, non_integer_pair):
-        expected = {mode: dmap_bytes(match_pair(ref, sec, params,
-                                                basis=model.basis, mode=mode))
-                    for mode in MatchMode}
+    for ref, sec, params, model in (banded_pair, non_integer_pair,
+                                    narrow_pair, block17_pair):
+        every = np.arange(model.basis.size)
+
+        def outputs():
+            tables, ranks = training_ranks(model.basis, sec, every)
+            return [tables.cdfs.tobytes(), ranks.tobytes()] + [
+                dmap_bytes(match_pair(ref, sec, params, basis=model.basis,
+                                      mode=mode)) for mode in MatchMode]
+
+        expected = outputs()
         with monkeypatch.context() as patch:
             patch.setattr(bands, "BAND_ROWS", band_rows)
-            for mode in MatchMode:
-                got = match_pair(ref, sec, params, basis=model.basis,
-                                 mode=mode)
-                assert dmap_bytes(got) == expected[mode], mode
+            assert outputs() == expected, params.block_side
 
 
 def oracle_reference_tables(image, basis, cdfs, num_components):
@@ -471,6 +503,42 @@ def test_match_pixel_agrees_on_non_integer_image():
             if got.state == CellState.ACCEPTED:
                 assert got.disparity == dense.disparity[y, x], (x, y)
                 assert got.nfa == dense.nfa[y, x], (x, y)
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_match_pixel_agrees_on_the_saturated_square(mode):
+    # the saturated-square probe of ROADMAP.md: its ties make decisions
+    # turn on the last bit of a projection (first at pixel (16, 8)), so
+    # both paths must give each block the same bits
+    pixels = gen_texture(64, 64, seed=3).pixels
+    pixels[8:56, 8:56] = 255.0
+    ref = GrayImage(pixels)
+    sec = GrayImage(np.roll(pixels, -2, axis=1))
+    params = AcbmParams(search_radius=5)
+    model = learn_background_model(sec)
+    dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+    for y in range(4, 60):
+        for x in range(4, 60):
+            got = match_pixel((x, y), model, params, ref, sec, mode=mode)
+            assert got.state == dense.state[y, x], (x, y)
+            if got.state == CellState.ACCEPTED:
+                assert got.disparity == dense.disparity[y, x], (x, y)
+                assert got.nfa == dense.nfa[y, x], (x, y)
+
+
+@pytest.mark.parametrize("scene", [saturated, flat, non_integer],
+                         ids=lambda s: s.__name__)
+@pytest.mark.parametrize("power", [-40, 60, 100])
+def test_decisions_invariant_under_power_of_two_scaling(scene, power):
+    # scaling by 2^k scales the covariance by 4^k and SSDs by 4^k exactly,
+    # and leaves rotations and CDF values with their bits; 255 * 2^100 is
+    # well inside GrayImage's float32 bound
+    ref, sec = (GrayImage(np.ldexp(image.pixels, power)) for image in scene())
+    basis = compute_patch_basis(sec, 9)
+    params = AcbmParams(search_radius=5, epsilon=1e6)
+    for mode in MatchMode:
+        dmap = match_pair(ref, sec, params, basis=basis, mode=mode)
+        assert digest(dmap) == EXPECTED[scene][mode.value, 1e6], mode
 
 
 @pytest.mark.parametrize("shift, expected", [(1, -1), (2, 0)])

@@ -340,9 +340,9 @@ def test_monte_carlo_component_groups_equal_unbanded(saturated_model,
 
 
 def test_monte_carlo_counts_ignore_the_band_height(monkeypatch):
-    # 32 interior columns, so each band projects at least 32 rows and the
-    # reference keeps its bits; a product over the drawn blocks of a band
-    # would round differently by band height
+    # each reference block is its own product, so its coefficients keep
+    # their bits whatever the band height, and a drawn block is a rank that
+    # no product touches
     pixels = gen_texture(40, 48, seed=0).pixels
     pixels[10:30, 8:28] = 255.0
     img = GrayImage(pixels)
