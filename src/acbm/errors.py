@@ -57,9 +57,5 @@ class HeightMismatch(AcbmError):
     """Stereo pair images differ in height."""
 
 
-class BorderPixel(AcbmError):
-    """Pixel too close to the border to carry a complete block."""
-
-
 class Overflow(AcbmError, OverflowError):
     """A result exceeds the range of its 64-bit type."""

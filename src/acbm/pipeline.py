@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bands, core, patch_model, self_sim
 from .core import AcbmParams
-from .errors import BorderPixel, DimensionMismatch, HeightMismatch
+from .errors import DimensionMismatch, HeightMismatch
 from .imgio import CellState, DisparityMap, GrayImage
 from .patch_model import BackgroundModel, PatchBasis
 
@@ -186,7 +186,7 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
     columns lo to hi - 1, whose blocks at d lie inside the secondary image.
     Every pixel sees the disparities in candidate order, and a strictly
     smaller metric (the NFA, or the cross SSD in SS_ONLY) replaces the best
-    so far."""
+    so far.  The cross and self SSD maps cover exactly these cells."""
     side = params.block_side
     wi_s = secondary.width - side + 1
     shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -207,7 +207,7 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
         nfa_d = nfa_at(d, lo, hi)
         if need_cross:
             cross = self_sim.aligned_ssd_map(reference, secondary, d, side,
-                                             rows)[:, lo:hi]
+                                             rows, slice(lo, hi))
         upd = ~((cross if by_ssd else nfa_d) >= best_metric[at])
         np.copyto(best_nfa[at], nfa_d, where=upd)
         np.copyto(best_d[at], d, where=upd)
@@ -218,7 +218,7 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
     vetoed = np.zeros(shape, dtype=bool)
     if need_cross:
         vetoed = passed & ~(best_cross < self_sim.min_self_ssd_map(
-            reference, params.search_radius, side, rows)[:, cols])
+            reference, params.search_radius, side, rows, cols))
     accepted = passed & ~vetoed
     state = np.select([accepted, vetoed],
                       [CellState.ACCEPTED, CellState.SELF_SIMILAR],
@@ -231,13 +231,11 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
                     params: AcbmParams, reference: GrayImage,
                     secondary: GrayImage) -> list[CandidateScore]:
     """Every candidate of pixel q with its quantized levels and NFA, in
-    ascending disparity order.  Inspection and testing hook."""
+    ascending disparity order; BlockOutOfBounds when q's block leaves the
+    reference image.  Inspection and testing hook."""
     x, y = q
     side = params.block_side
     half = side // 2
-    if not (half <= x < reference.width - half
-            and half <= y < reference.height - half):
-        raise BorderPixel(f"({x}, {y}) has no complete block")
     r = params.search_radius
     disparities = [d for d in range(-r, r + 1)
                    if half <= x + d < secondary.width - half]

@@ -8,10 +8,10 @@ almost entirely).  Periodic or flat neighborhoods therefore reject; when no
 neighbor block fits inside the image the minimum is vacuous (+inf) and the
 candidate is kept.
 
-The map helpers compute the same distances for every pixel of a range of
-interior rows at once.  Every block's sum of squares is taken in one fixed
-order (window_sums), also by ssd, so a map cell equals the direct distance
-bit for bit on every input, whatever rows the map covers.
+The map helpers compute the same distances for every pixel of a window of
+the interior grid at once.  Every block's sum of squares is taken in one
+fixed order (window_sums), also by ssd, so a map cell equals the direct
+distance bit for bit on every input, whatever window the map covers.
 """
 from __future__ import annotations
 
@@ -53,41 +53,34 @@ def window_sums(values: np.ndarray, side: int) -> np.ndarray:
 
 
 def aligned_ssd_map(img_a: GrayImage, img_b: GrayImage, shift: int,
-                    block_side: int, rows: slice = slice(None)) -> np.ndarray:
-    """Block SSD between (x, y) in img_a and (x+shift, y) in img_b for every
-    interior pixel of img_a in the interior rows `rows` (default: all),
-    indexed on img_a's interior grid; +inf where the shifted block does not
-    fit inside img_b."""
-    hi = img_a.height - block_side + 1
-    wi_a = img_a.width - block_side + 1
-    wi_b = img_b.width - block_side + 1
-    r0, r1, _ = rows.indices(max(hi, 0))
-    out = np.full((max(r1 - r0, 0), wi_a), np.inf)
-    lo = max(0, -shift)
-    hi_col = min(wi_a, wi_b - shift)
-    if lo >= hi_col or r1 <= r0:
-        return out
+                    block_side: int, rows: slice, cols: slice) -> np.ndarray:
+    """Block SSD between (x, y) in img_a and (x+shift, y) in img_b for the
+    interior pixels of img_a in rows x cols (bounded slices of img_a's
+    interior grid), indexed on that window.  Every shifted block must lie
+    inside img_b."""
     # interior (row, col) maps to image (row + half, col + half)
-    span = np.s_[r0:r1 + block_side - 1]
-    a = img_a.pixels[span, lo:hi_col + block_side - 1]
-    b = img_b.pixels[span, lo + shift:hi_col + shift + block_side - 1]
-    out[:, lo:hi_col] = window_sums((a - b) ** 2, block_side)
-    return out
+    span = np.s_[rows.start:rows.stop + block_side - 1]
+    x0, x1 = cols.start, cols.stop + block_side - 1
+    a = img_a.pixels[span, x0:x1]
+    b = img_b.pixels[span, x0 + shift:x1 + shift]
+    return window_sums((a - b) ** 2, block_side)
 
 
-def min_self_ssd_map(image: GrayImage, search_radius: int,
-                     block_side: int, rows: slice = slice(None)) -> np.ndarray:
-    """Per interior pixel of the interior rows `rows` (default: all), the
-    smallest block SSD to a same-row block at an offset of magnitude 2 to
-    search_radius inside the image; +inf where no such block fits.  The
-    SSD from x to x+dr equals the one from x+dr to x bit for bit, so each
-    map for dr > 0 serves both offsets."""
-    hi = image.height - block_side + 1
+def min_self_ssd_map(image: GrayImage, search_radius: int, block_side: int,
+                     rows: slice, cols: slice) -> np.ndarray:
+    """Per interior pixel in rows x cols (bounded slices of the interior
+    grid), the smallest block SSD to a same-row block at an offset of
+    magnitude 2 to search_radius inside the image; +inf where no such block
+    fits.  Only the grid columns within search_radius of the window are
+    read.  The SSD from x to x+dr equals the one from x+dr to x bit for
+    bit, so each map for dr > 0 serves both offsets."""
     wi = image.width - block_side + 1
-    r0, r1, _ = rows.indices(max(hi, 0))
-    best = np.full((max(r1 - r0, 0), wi), np.inf)
-    for dr in range(2, min(search_radius, wi - 1) + 1):
-        dist = aligned_ssd_map(image, image, dr, block_side, rows)[:, :wi - dr]
-        np.minimum(best[:, :wi - dr], dist, out=best[:, :wi - dr])
+    c0 = max(cols.start - search_radius, 0)
+    w = min(cols.stop + search_radius, wi) - c0
+    best = np.full((rows.stop - rows.start, w), np.inf)
+    for dr in range(2, min(search_radius, w - 1) + 1):
+        dist = aligned_ssd_map(image, image, dr, block_side, rows,
+                               slice(c0, c0 + w - dr))
+        np.minimum(best[:, :w - dr], dist, out=best[:, :w - dr])
         np.minimum(best[:, dr:], dist, out=best[:, dr:])
-    return best
+    return best[:, cols.start - c0:cols.stop - c0]

@@ -9,8 +9,8 @@ import pytest
 
 from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
                   match_pair, match_pixel, patch_model)
-from acbm.errors import (BorderPixel, DimensionMismatch, HeightMismatch,
-                         ImageTooSmall)
+from acbm.errors import (BlockOutOfBounds, DimensionMismatch,
+                         HeightMismatch, ImageTooSmall)
 from acbm.imgio import CellState, DisparityMap, GrayImage
 from acbm.patch_model import (BackgroundModel, PatchBasis, cdf_eval,
                                compute_patch_basis, interior_blocks,
@@ -150,6 +150,22 @@ def test_acbm_only_accepts_superset(small_pair):
 
 # ----------------------------------------------------------- pixel parity
 
+def assert_pixels_agree(dense, probes, model, params, ref, sec, mode):
+    """match_pixel at each probe (x, y) against match_pair's map dense, made
+    in the same mode: the same state, and where accepted the same disparity
+    and NFA.  Returns the states seen."""
+    states = set()
+    for q in probes:
+        got = match_pixel(q, model, params, ref, sec, mode=mode)
+        x, y = q
+        states.add(got.state)
+        assert got.state == dense.state[y, x], (mode, q)
+        if got.state == CellState.ACCEPTED:
+            assert got.disparity == dense.disparity[y, x], (mode, q)
+            assert got.nfa == dense.nfa[y, x], (mode, q)
+    return states
+
+
 def test_match_pixel_agrees_with_dense(small_pair):
     ref, sec, params, model = small_pair
     rng = np.random.default_rng(50)
@@ -159,13 +175,21 @@ def test_match_pixel_agrees_with_dense(small_pair):
                               rng.integers(half, ref.height - half, 25))]
     for mode in MatchMode:
         dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
-        for q in probes:
-            got = match_pixel(q, model, params, ref, sec, mode=mode)
-            x, y = q
-            assert got.state == dense.state[y, x], (mode, q)
-            if got.state == CellState.ACCEPTED:
-                assert got.disparity == dense.disparity[y, x], (mode, q)
-                assert got.nfa == dense.nfa[y, x], (mode, q)
+        assert_pixels_agree(dense, probes, model, params, ref, sec, mode)
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_match_pixel_agrees_where_self_windows_clip(mode):
+    # 32 interior columns at block 9 and R = 32: every pixel's self-map
+    # window and candidate range reach past both sides of the grid
+    ref, sec, _ = gen_translated_pair(40, 20, 2, texture_seed=25)
+    params = AcbmParams(search_radius=32)
+    model = learn_background_model(sec)
+    dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
+    probes = [(x, y) for y in (5, 13) for x in range(4, 36)]
+    states = assert_pixels_agree(dense, probes, model, params, ref, sec,
+                                 mode)
+    assert len(states) > 1
 
 
 # ------------------------------------------------------------- row bands
@@ -200,19 +224,14 @@ def test_match_pixel_agrees_across_band_edges(banded_pair, mode):
     probe_rows = {rows - 1}
     for band in edges[1:]:
         probe_rows |= {band.start - 1, band.start}
-    states = set()
-    for y in sorted(r + half for r in probe_rows):
-        for x in range(half, ref.width - half):
-            got = match_pixel((x, y), model, params, ref, sec, mode=mode)
-            states.add(got.state)
-            assert got.state == dense.state[y, x], (x, y)
-            if got.state == CellState.ACCEPTED:
-                assert got.disparity == dense.disparity[y, x], (x, y)
-                assert got.nfa == dense.nfa[y, x], (x, y)
-            else:
-                assert dense.disparity[y, x] == 0
-                assert np.isnan(dense.nfa[y, x])
+    ys = sorted(r + half for r in probe_rows)
+    probes = [(x, y) for y in ys for x in range(half, ref.width - half)]
+    states = assert_pixels_agree(dense, probes, model, params, ref, sec,
+                                 mode)
     assert CellState.ACCEPTED in states and len(states) > 1
+    rejected = dense.state[ys] != CellState.ACCEPTED
+    assert (dense.disparity[ys][rejected] == 0).all()
+    assert np.isnan(dense.nfa[ys][rejected]).all()
 
 
 @pytest.fixture(scope="module")
@@ -471,14 +490,8 @@ def test_match_pixel_agrees_at_block_17():
     states = set()
     for mode in MatchMode:
         dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
-        for q in probes:
-            got = match_pixel(q, model, params, ref, sec, mode=mode)
-            x, y = q
-            states.add(got.state)
-            assert got.state == dense.state[y, x], (mode, q)
-            if got.state == CellState.ACCEPTED:
-                assert got.disparity == dense.disparity[y, x], (mode, q)
-                assert got.nfa == dense.nfa[y, x], (mode, q)
+        states |= assert_pixels_agree(dense, probes, model, params, ref, sec,
+                                      mode)
     assert len(states) == 3
 
 
@@ -496,13 +509,9 @@ def test_match_pixel_agrees_on_non_integer_image():
     model = training_ranks(basis, sec, np.arange(289))[0]
     dense = match_pair(ref, sec, params, basis=basis)
     assert dense.state[28, 20] == CellState.SELF_SIMILAR
-    for y in range(8, 40):
-        for x in range(8, 36):
-            got = match_pixel((x, y), model, params, ref, sec)
-            assert got.state == dense.state[y, x], (x, y)
-            if got.state == CellState.ACCEPTED:
-                assert got.disparity == dense.disparity[y, x], (x, y)
-                assert got.nfa == dense.nfa[y, x], (x, y)
+    probes = [(x, y) for y in range(8, 40) for x in range(8, 36)]
+    assert_pixels_agree(dense, probes, model, params, ref, sec,
+                        MatchMode.ACBM_SS)
 
 
 @pytest.mark.parametrize("mode", list(MatchMode))
@@ -517,13 +526,8 @@ def test_match_pixel_agrees_on_the_saturated_square(mode):
     params = AcbmParams(search_radius=5)
     model = learn_background_model(sec)
     dense = match_pair(ref, sec, params, basis=model.basis, mode=mode)
-    for y in range(4, 60):
-        for x in range(4, 60):
-            got = match_pixel((x, y), model, params, ref, sec, mode=mode)
-            assert got.state == dense.state[y, x], (x, y)
-            if got.state == CellState.ACCEPTED:
-                assert got.disparity == dense.disparity[y, x], (x, y)
-                assert got.nfa == dense.nfa[y, x], (x, y)
+    probes = [(x, y) for y in range(4, 60) for x in range(4, 60)]
+    assert_pixels_agree(dense, probes, model, params, ref, sec, mode)
 
 
 @pytest.mark.parametrize("scene", [saturated, flat, non_integer],
@@ -623,9 +627,9 @@ def test_match_pixel_no_candidates():
 def test_scan_candidates_geometry(small_pair):
     ref, sec, params, model = small_pair
     half = params.block_side // 2
-    with pytest.raises(BorderPixel):
+    with pytest.raises(BlockOutOfBounds):
         scan_candidates((0, 0), model, params, ref, sec)
-    with pytest.raises(BorderPixel):
+    with pytest.raises(BlockOutOfBounds):
         scan_candidates((ref.width - 1, 5), model, params, ref, sec)
     # interior pixel far from the sides sees every disparity, in order
     scores = scan_candidates((20, 15), model, params, ref, sec)

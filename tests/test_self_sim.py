@@ -52,11 +52,11 @@ def test_window_sums_matches_loops():
 
 
 def min_self_at(img, radius, side, q):
-    """min_self_ssd_map at pixel q, from the one-row map of q's row."""
+    """min_self_ssd_map at pixel q, from q's 1x1 window."""
     half = side // 2
     x, y = q
-    return min_self_ssd_map(img, radius, side,
-                            slice(y - half, y - half + 1))[0, x - half]
+    return min_self_ssd_map(img, radius, side, slice(y - half, y - half + 1),
+                            slice(x - half, x - half + 1))[0, 0]
 
 
 def direct_min_self(img, radius, side, q):
@@ -123,42 +123,58 @@ def test_aligned_map_matches_direct_blocks():
     pairs = [(gen_texture(20, 14, seed=6), gen_texture(23, 14, seed=7)),
              (non_integer_image(20, 14, 6), non_integer_image(23, 14, 7))]
     for a, b in pairs:
+        hi, wi_a, wi_b = 14 - side + 1, 20 - side + 1, 23 - side + 1
         for shift in (-3, 0, 2, 6):
-            got = aligned_ssd_map(a, b, shift, side)
-            assert got.shape == (14 - side + 1, 20 - side + 1)
-            for yi in range(got.shape[0]):
-                for xi in range(got.shape[1]):
+            # every column whose shifted block fits inside b
+            lo, hi_col = max(0, -shift), min(wi_a, wi_b - shift)
+            got = aligned_ssd_map(a, b, shift, side, slice(0, hi),
+                                  slice(lo, hi_col))
+            assert got.shape == (hi, hi_col - lo)
+            for yi in range(hi):
+                for xi in range(lo, hi_col):
                     x, y = xi + half, yi + half
-                    xs = x + shift
-                    if half <= xs < b.width - half:
-                        direct = ssd(extract_block(a, (x, y), side),
-                                     extract_block(b, (xs, y), side))
-                        assert got[yi, xi] == direct, (shift, x, y)
-                    else:
-                        assert got[yi, xi] == np.inf
-            # a range of rows gives the same cells as the whole map
+                    direct = ssd(extract_block(a, (x, y), side),
+                                 extract_block(b, (x + shift, y), side))
+                    assert got[yi, xi - lo] == direct, (shift, x, y)
+            # a smaller window gives the same cells as the whole map
             for rows in (slice(0, 1), slice(3, 7), slice(6, 10)):
-                band = aligned_ssd_map(a, b, shift, side, rows)
-                assert band.tobytes() == got[rows].tobytes(), (shift, rows)
+                for cols in (slice(lo, lo + 1), slice(lo + 2, hi_col - 1)):
+                    window = aligned_ssd_map(a, b, shift, side, rows, cols)
+                    expected = got[rows, cols.start - lo:cols.stop - lo]
+                    assert window.tobytes() == expected.tobytes(), (
+                        shift, rows, cols)
 
 
 def test_min_map_matches_scalar():
     side, half = 5, 2
+    rng = np.random.default_rng(42)
     for img in (gen_texture(26, 15, seed=8), non_integer_image(26, 15, 8),
                 non_integer_image(8, 7, 9)):
-        wi = img.width - side + 1
+        hi, wi = img.height - side + 1, img.width - side + 1
+        grid = slice(0, hi), slice(0, wi)
         # radius 4 leaves some offsets outside; from wi on, none fits
         for radius in (4, wi - 1, wi, wi + 3):
-            got = min_self_ssd_map(img, radius, side)
-            assert got.shape == (img.height - side + 1, wi)
-            for yi in range(got.shape[0]):
-                for xi in range(got.shape[1]):
+            whole = min_self_ssd_map(img, radius, side, *grid)
+            assert whole.shape == (hi, wi)
+            for yi in range(hi):
+                for xi in range(wi):
                     q = (xi + half, yi + half)
-                    assert got[yi, xi] == direct_min_self(img, radius, side,
-                                                          q), (radius, q)
-                # one-row slices, as the single-pixel matcher takes them
-                row = min_self_ssd_map(img, radius, side, slice(yi, yi + 1))
-                assert row.tobytes() == got[yi:yi + 1].tobytes()
-            for rows in (slice(2, 9), slice(10, 11)):
-                band = min_self_ssd_map(img, radius, side, rows)
-                assert band.tobytes() == got[rows].tobytes(), rows
+                    direct = direct_min_self(img, radius, side, q)
+                    assert whole[yi, xi] == direct, (radius, q)
+                    # the 1x1 window, as the single-pixel matcher takes it
+                    assert min_self_at(img, radius, side, q) == direct, (
+                        radius, q)
+            # row bands
+            windows = [(rows, grid[1]) for rows in
+                       (slice(1, hi - 1), slice(hi - 1, hi), grid[0])]
+            # random windows, each touching the left or the right edge
+            for _ in range(10):
+                r0 = int(rng.integers(0, hi))
+                r1 = int(rng.integers(r0 + 1, hi + 1))
+                c = int(rng.integers(1, wi))
+                windows += [(slice(r0, r1), slice(0, c)),
+                            (slice(r0, r1), slice(c - 1, wi))]
+            for rows, cols in windows:
+                window = min_self_ssd_map(img, radius, side, rows, cols)
+                assert window.tobytes() == whole[rows, cols].tobytes(), (
+                    radius, rows, cols)
