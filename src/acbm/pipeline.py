@@ -13,6 +13,12 @@ path, runs it on row bands; match_pixel runs it on one pixel with the NFAs
 of scan_candidates.  A block's coefficients are its own product
 (patch_model.project), run in a band-pool task on one BLAS thread, so both
 paths and the test oracle score every block with the same bits.
+
+No NFA is below the floor n_test * 2^-(L-1)N, where every component sits
+at quantizer index 0, and only a strictly smaller metric replaces the
+best.  So a pixel whose best is at the floor (in SS_ONLY, a cross SSD of
+0) keeps it: scan_band passes nfa_at the mask of the pixels still active,
+and match_pair gathers and scores only those cells.
 """
 from __future__ import annotations
 
@@ -164,11 +170,14 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         y, x = np.ogrid[rows, :wi_r]
         at_zero = ((y * wi_s + x) * u)[..., None] + slot3[rows]
 
-        def nfa_at(d, lo, hi_col):
+        def nfa_at(d, lo, hi_col, active):
+            nfa_d = np.full(active.shape, np.inf)
+            cells = np.nonzero(active)
             # a secondary block's CDF value is its rank over m
-            hqp = np.take(ranks, at_zero[:, lo:hi_col] + d * u) / m
-            return candidate_nfa_block(hq3[rows, lo:hi_col], hqp, n_test,
-                                       params.num_levels)
+            hqp = np.take(ranks, at_zero[:, lo:hi_col][cells] + d * u) / m
+            nfa_d[cells] = candidate_nfa_block(hq3[rows, lo:hi_col][cells],
+                                               hqp, n_test, params.num_levels)
+            return nfa_d
 
         out = np.s_[half + rows.start:half + rows.stop, half:half + wi_r]
         state[out], disparity[out], nfa[out] = scan_band(
@@ -182,11 +191,17 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
               secondary: GrayImage, params: AcbmParams, mode: MatchMode):
     """(state, disparity, nfa) of the interior pixels in rows x cols (bounded
     slices of the interior grid); disparity 0 and nfa NaN where not accepted.
-    nfa_at(d, lo, hi) gives the NFAs at disparity d of the rows' interior
-    columns lo to hi - 1, whose blocks at d lie inside the secondary image.
+    nfa_at(d, lo, hi, active) gives the NFAs at disparity d of the rows'
+    interior columns lo to hi - 1, whose blocks at d lie inside the
+    secondary image; it needs to score only the cells where the boolean
+    array active (of that shape) is true and may return +inf elsewhere.
     Every pixel sees the disparities in candidate order, and a strictly
     smaller metric (the NFA, or the cross SSD in SS_ONLY) replaces the best
-    so far.  The cross and self SSD maps cover exactly these cells."""
+    so far.  So a pixel stays active only until its best metric is the
+    least that metric can be: the NFA floor n_test * 2^-(L-1)N, where every
+    component sits at quantizer index 0, or a cross SSD of 0.  A disparity
+    with no active cell is skipped.  The cross and self SSD maps cover
+    exactly these cells."""
     side = params.block_side
     wi_s = secondary.width - side + 1
     shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -199,12 +214,20 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
     best_cross = np.full(shape, np.nan)
     best_d = np.zeros(shape, dtype=np.int32)
     best_metric = best_cross if by_ssd else best_nfa
+    n_test = core.number_of_tests(reference.width * reference.height, params)
+    least = 0.0 if by_ssd else n_test * np.ldexp(
+        1.0, -(params.num_levels - 1) * params.num_components)
     for d in params.candidate_order():
         lo, hi = max(cols.start, -d), min(cols.stop, wi_s - d)
         if lo >= hi:
             continue
         at = np.s_[:, lo - cols.start:hi - cols.start]
-        nfa_d = nfa_at(d, lo, hi)
+        # only a strictly smaller metric wins (upd below), so a pixel whose
+        # best is the least metric keeps it and leaves the scan
+        active = best_metric[at] != least
+        if not active.any():
+            continue
+        nfa_d = nfa_at(d, lo, hi, active)
         if need_cross:
             cross = self_sim.aligned_ssd_map(reference, secondary, d, side,
                                              rows, slice(lo, hi))
@@ -270,7 +293,7 @@ def match_pixel(q: tuple[int, int], model: BackgroundModel,
     x, y = (c - params.block_side // 2 for c in q)
     state, d, nfa = (a.item() for a in scan_band(
         slice(y, y + 1), slice(x, x + 1),
-        lambda d, lo, hi: np.full((1, 1), nfas[d]),
+        lambda d, lo, hi, active: np.where(active, nfas[d], np.inf),
         reference, secondary, params, mode))
     accepted = state == CellState.ACCEPTED
     return MatchDecision(q, CellState(state), d if accepted else None,

@@ -52,12 +52,26 @@ def window_sums(values: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
+def _require_inside(image: GrayImage, block_side: int, rows: slice,
+                    cols: slice) -> None:
+    """DimensionMismatch unless rows x cols lies in image's interior grid."""
+    grid = (image.height - block_side + 1, image.width - block_side + 1)
+    for window, size in zip((rows, cols), grid):
+        if not 0 <= window.start <= window.stop <= size:
+            raise DimensionMismatch(
+                f"window {window.start}:{window.stop} leaves an interior "
+                f"grid of {grid[0]}x{grid[1]}")
+
+
 def aligned_ssd_map(img_a: GrayImage, img_b: GrayImage, shift: int,
                     block_side: int, rows: slice, cols: slice) -> np.ndarray:
     """Block SSD between (x, y) in img_a and (x+shift, y) in img_b for the
     interior pixels of img_a in rows x cols (bounded slices of img_a's
-    interior grid), indexed on that window.  Every shifted block must lie
-    inside img_b."""
+    interior grid), indexed on that window.  DimensionMismatch when the
+    window leaves img_a's interior grid or a shifted block leaves img_b."""
+    _require_inside(img_a, block_side, rows, cols)
+    _require_inside(img_b, block_side, rows,
+                    slice(cols.start + shift, cols.stop + shift))
     # interior (row, col) maps to image (row + half, col + half)
     span = np.s_[rows.start:rows.stop + block_side - 1]
     x0, x1 = cols.start, cols.stop + block_side - 1
@@ -73,7 +87,9 @@ def min_self_ssd_map(image: GrayImage, search_radius: int, block_side: int,
     magnitude 2 to search_radius inside the image; +inf where no such block
     fits.  Only the grid columns within search_radius of the window are
     read.  The SSD from x to x+dr equals the one from x+dr to x bit for
-    bit, so each map for dr > 0 serves both offsets."""
+    bit, so each map for dr > 0 serves both offsets.  DimensionMismatch
+    when the window leaves the interior grid."""
+    _require_inside(image, block_side, rows, cols)
     wi = image.width - block_side + 1
     c0 = max(cols.start - search_radius, 0)
     w = min(cols.stop + search_radius, wi) - c0

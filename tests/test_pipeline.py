@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acbm import (AcbmParams, MatchMode, bands, core, densify_median,
-                  match_pair, match_pixel, patch_model)
+                  match_pair, match_pixel, patch_model, pipeline)
 from acbm.errors import (BlockOutOfBounds, DimensionMismatch,
                          HeightMismatch, ImageTooSmall)
 from acbm.imgio import CellState, DisparityMap, GrayImage
@@ -17,10 +17,11 @@ from acbm.patch_model import (BackgroundModel, PatchBasis, cdf_eval,
                                learn_background_model, project,
                                training_ranks)
 from acbm.pipeline import (candidate_nfa_block, component_order,
-                           reference_tables, scan_candidates)
+                           reference_tables, scan_band, scan_candidates)
 from acbm.validation import (gen_texture, gen_translated_pair,
                              monte_carlo_false_alarms)
-from test_decisions import EXPECTED, digest, flat, non_integer, saturated
+from test_decisions import (EXPECTED, digest, flat, non_integer, saturated,
+                            striped)
 
 
 @pytest.fixture(scope="module")
@@ -569,6 +570,140 @@ def test_exact_ties_follow_candidate_order(shift, expected):
             got = match_pixel((x, y), model, params, ref, sec, mode=mode)
             assert got.state == dense.state[y, x] == CellState.ACCEPTED
             assert got.disparity == dense.disparity[y, x] == expected
+
+
+# ------------------------------------------------------ pruning at the floor
+
+def nfa_floor(n_test, params):
+    """candidate_nfa_block's NFA with every component at quantizer index 0:
+    equal CDF values give a resemblance probability of 0."""
+    h = np.full((1, params.num_components), 0.3)
+    return candidate_nfa_block(h, h, n_test, params.num_levels)[0]
+
+
+@pytest.mark.parametrize("num_components, num_levels, kind", [
+    (9, 1, "n_test"), (9, 5, "normal"), (1, 1070, "subnormal"),
+    (2, 600, "zero")])
+def test_scan_band_floor_is_the_nfa_at_index_0(num_components, num_levels,
+                                               kind):
+    # scan_band drops a pixel from the scan once its best NFA is the floor:
+    # after a first candidate at the floor, nfa_at is never called again,
+    # and one ulp above it every pixel stays active
+    ref, sec, _ = gen_translated_pair(16, 9, 1, texture_seed=2)
+    params = AcbmParams(search_radius=2, block_side=5,
+                        num_components=num_components, num_levels=num_levels)
+    n_test = core.number_of_tests(16 * 9, params)
+    floor = nfa_floor(n_test, params)
+    if kind == "n_test":
+        assert floor == n_test
+    elif kind == "subnormal":
+        assert 0.0 < floor < np.finfo(float).tiny
+    elif kind == "zero":
+        assert floor == 0.0
+    grid = slice(0, 5), slice(2, 10)   # every candidate fits in sec
+    for first, calls_left in ((floor, 0), (np.nextafter(floor, 1.0), 4)):
+        masks = []
+
+        def nfa_at(d, lo, hi, active):
+            masks.append(active.copy())
+            return np.where(active, first, np.inf)
+
+        for mode in (MatchMode.ACBM_ONLY, MatchMode.ACBM_SS):
+            masks.clear()
+            scan_band(*grid, nfa_at, ref, sec, params, mode)
+            assert len(masks) == 1 + calls_left
+            assert all(m.all() for m in masks)
+
+
+def full_nfa_table(ref, sec, params, basis, monkeypatch):
+    """match_pair's own nfa_at asked for every cell of the interior grid:
+    {d: NFAs, NaN where the block at d leaves sec}."""
+    side = params.block_side
+    wi_s = sec.width - side + 1
+    grid = patch_model.interior_shape(ref, side)
+    table = {d: np.full(grid, np.nan) for d in params.candidate_order()}
+    scan = pipeline.scan_band
+
+    def every_cell(rows, cols, nfa_at, *args):
+        for d, nfa in table.items():
+            lo, hi = max(cols.start, -d), min(cols.stop, wi_s - d)
+            if lo < hi:
+                everywhere = np.ones((rows.stop - rows.start, hi - lo), bool)
+                nfa[rows, lo:hi] = nfa_at(d, lo, hi, everywhere)
+        return scan(rows, cols, nfa_at, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "scan_band", every_cell)
+        match_pair(ref, sec, params, basis=basis)
+    return table
+
+
+def exact_shift():
+    return gen_translated_pair(64, 48, 2, texture_seed=4)[:2]
+
+
+@pytest.mark.parametrize("scene", [exact_shift, striped, saturated, flat],
+                         ids=lambda s: s.__name__)
+def test_pruned_scan_equals_unpruned(scene, monkeypatch):
+    # an nfa_at that honours active and one that scores every cell give the
+    # same bytes, and so does match_pair, at epsilon below, at and above
+    # the floor
+    ref, sec = scene()
+    basis = compute_patch_basis(sec, 9)
+    params = AcbmParams(search_radius=5)
+    table = full_nfa_table(ref, sec, params, basis, monkeypatch)
+    floor = nfa_floor(core.number_of_tests(ref.width * ref.height, params),
+                      params)
+    assert any((nfa == floor).any() for nfa in table.values())
+    every = sum((~np.isnan(nfa)).sum() for nfa in table.values())
+    grid = tuple(slice(0, n) for n in patch_model.interior_shape(ref, 9))
+    inside = np.s_[4:-4, 4:-4]
+    scored = []
+
+    def pruned(d, lo, hi, active):
+        scored.append(active.sum())
+        return np.where(active, table[d][:, lo:hi], np.inf)
+
+    def unpruned(d, lo, hi, active):
+        return table[d][:, lo:hi]
+
+    for epsilon in (floor / 2, floor, 2 * floor, 1e6):
+        p = replace(params, epsilon=epsilon)
+        for mode in MatchMode:
+            want = scan_band(*grid, unpruned, ref, sec, p, mode)
+            scored.clear()
+            got = scan_band(*grid, pruned, ref, sec, p, mode)
+            # the pixels at the floor skip some of their candidates
+            assert sum(scored) < every
+            dmap = match_pair(ref, sec, p, basis=basis, mode=mode)
+            dense = (dmap.state[inside], dmap.disparity[inside],
+                     dmap.nfa[inside])
+            for a, b, c in zip(want, got, dense):
+                assert a.tobytes() == b.tobytes(), (epsilon, mode)
+                assert a.astype(c.dtype).tobytes() == c.tobytes(), (
+                    epsilon, mode)
+
+
+def test_pruning_skips_most_cells_of_an_exact_shift(monkeypatch):
+    # d = 2 is the fifth of eleven candidates; a pixel that reaches the
+    # floor there needs no NFA at the last six
+    ref, sec = exact_shift()
+    params = AcbmParams(search_radius=5)
+    basis = compute_patch_basis(sec, 9)
+    scored = []
+    score = pipeline.candidate_nfa_block
+
+    def counting(hq, hqp, n_test, num_levels):
+        scored.append(hqp.size // hqp.shape[-1])
+        return score(hq, hqp, n_test, num_levels)
+
+    monkeypatch.setattr(pipeline, "candidate_nfa_block", counting)
+    dmap = match_pair(ref, sec, params, basis=basis, mode=MatchMode.ACBM_ONLY)
+    hi, wi = patch_model.interior_shape(ref, 9)
+    every = sum(hi * (min(wi, wi - d) - max(0, -d))
+                for d in params.candidate_order())
+    assert (dmap.disparity[dmap.accepted] == 2).mean() > 0.9
+    assert sum(scored) < 0.6 * every
 
 
 def test_one_block_secondary_is_too_small():

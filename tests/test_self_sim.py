@@ -178,3 +178,30 @@ def test_min_map_matches_scalar():
                 window = min_self_ssd_map(img, radius, side, rows, cols)
                 assert window.tobytes() == whole[rows, cols].tobytes(), (
                     radius, rows, cols)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 4])
+def test_min_map_rejects_rows_outside_the_grid(radius):
+    # an 8x7 image at block 5 has a 3-row grid; without the check, radii
+    # up to 1 returned a 7-row map and larger ones a bare ValueError
+    img = non_integer_image(8, 7, 9)
+    with pytest.raises(DimensionMismatch):
+        min_self_ssd_map(img, radius, 5, slice(2, 9), slice(0, 4))
+
+
+def test_aligned_map_rejects_columns_outside_the_grid():
+    # a 20-wide image at block 5 has 16 grid columns; without the check
+    # the map silently had 16 columns, not the 40 asked for
+    a, b = gen_texture(20, 14, seed=6), gen_texture(20, 14, seed=7)
+    with pytest.raises(DimensionMismatch):
+        aligned_ssd_map(a, b, 0, 5, slice(0, 2), slice(0, 40))
+
+
+def test_aligned_map_rejects_blocks_shifted_out_of_the_secondary():
+    # column 1 at shift -2 would read grid column -1 of b
+    a, b = gen_texture(20, 14, seed=6), gen_texture(20, 14, seed=7)
+    with pytest.raises(DimensionMismatch):
+        aligned_ssd_map(a, b, -2, 5, slice(0, 2), slice(1, 4))
+    # the same window at shift -1 fits
+    assert aligned_ssd_map(a, b, -1, 5, slice(0, 2), slice(1, 4)).shape == (
+        2, 3)
