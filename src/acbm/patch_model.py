@@ -238,14 +238,26 @@ def project(basis: PatchBasis, blocks: np.ndarray) -> np.ndarray:
                      basis.eigenvectors.T)[..., 0, :]
 
 
+def project_rows(basis: PatchBasis, image: GrayImage, rows: slice):
+    """The coefficients of a band of interior rows, one row at a time:
+    yields (cells, coeffs) per row, coeffs the (wi, s) projection of the
+    row's blocks and cells the slice of its pixels among the band's, in
+    interior_blocks order.  So the blocks, centered blocks and coefficients
+    exist a row at a time, never for the whole band, and each block has
+    the bits project gives it alone."""
+    for k, y in enumerate(range(rows.start, rows.stop)):
+        coeffs = project(basis, interior_blocks(image, basis.block_side,
+                                                slice(y, y + 1)))
+        yield slice(k * len(coeffs), (k + 1) * len(coeffs)), coeffs
+
+
 def training_values(basis: PatchBasis, image: GrayImage,
                     components: np.ndarray) -> np.ndarray:
     """(u, m) table: row i holds the coefficient of component components[i]
     at every complete block of the image, in interior_blocks order.  Each
-    row band is projected on the whole basis, so every value has the same
-    bits whichever components are kept."""
-    side = basis.block_side
-    hi, wi = interior_shape(image, side)
+    row is projected on the whole basis, so every value has the same bits
+    whichever components are kept."""
+    hi, wi = interior_shape(image, basis.block_side)
     m = hi * wi
     if m < 2:
         raise ImageTooSmall("need at least 2 complete blocks for the CDFs")
@@ -254,8 +266,9 @@ def training_values(basis: PatchBasis, image: GrayImage,
     values = np.empty((len(components), m))
 
     def band(rows):
-        coeffs = project(basis, interior_blocks(image, side, rows))
-        values[:, rows.start * wi:rows.stop * wi] = coeffs[:, components].T
+        out = values[:, rows.start * wi:rows.stop * wi]
+        for cells, coeffs in project_rows(basis, image, rows):
+            out[:, cells] = coeffs[:, components].T
 
     bands.run_bands(band, hi)
     return values

@@ -62,16 +62,14 @@ def component_order(image: GrayImage, basis: PatchBasis,
     """Per interior pixel (row-major grid): indices of the num_components
     locally dominant components, an (n, N) table in the smallest unsigned
     type that holds s - 1.  Row bands run on the band pool."""
-    side = basis.block_side
-    hi, wi = patch_model.interior_shape(image, side)
+    hi, wi = patch_model.interior_shape(image, basis.block_side)
     order = np.empty((hi * wi, num_components),
                      dtype=np.min_scalar_type(basis.size - 1))
 
     def band(rows):
-        order[rows.start * wi:rows.stop * wi] = core.top_components(
-            patch_model.project(
-                basis, patch_model.interior_blocks(image, side, rows)),
-            num_components)
+        out = order[rows.start * wi:rows.stop * wi]
+        for cells, coeffs in patch_model.project_rows(basis, image, rows):
+            out[cells] = core.top_components(coeffs, num_components)
 
     bands.run_bands(band, hi)
     return order
@@ -85,10 +83,9 @@ def reference_tables(image: GrayImage, model: BackgroundModel,
     h_ref[k, j] is the CDF value of component order[k, j] at pixel k.
     Raises DimensionMismatch when the model lacks a component of order.
     Row bands run on the band pool; each evaluates every CDF the model
-    holds over all pixels of its band."""
-    basis = model.basis
-    side = basis.block_side
-    hi, wi = patch_model.interior_shape(image, side)
+    holds over all pixels of its band, from a (u, pixels) table whose row
+    j holds component components[j], then gathers the N tested values."""
+    hi, wi = patch_model.interior_shape(image, model.basis.block_side)
     if order.shape[0] != hi * wi:
         raise DimensionMismatch(f"order has {order.shape[0]} rows for "
                                 f"{hi * wi} interior pixels")
@@ -97,13 +94,12 @@ def reference_tables(image: GrayImage, model: BackgroundModel,
 
     def band(rows):
         cells = slice(rows.start * wi, rows.stop * wi)
-        coeffs = patch_model.project(
-            basis, patch_model.interior_blocks(image, side, rows))
-        # CDF values replace coefficients: components ascend, so column j
-        # is overwritten only after column components[j] >= j was read
-        for j, (i, cdf) in enumerate(zip(model.components, model.cdfs)):
-            coeffs[:, j] = patch_model.cdf_eval(cdf, coeffs[:, i])
-        h_ref[cells] = np.take_along_axis(coeffs, slots[cells], axis=1)
+        table = np.empty((len(model.components), cells.stop - cells.start))
+        for at, coeffs in patch_model.project_rows(model.basis, image, rows):
+            table[:, at] = coeffs[:, model.components].T
+        for row, cdf in zip(table, model.cdfs):
+            row[:] = patch_model.cdf_eval(cdf, row)
+        h_ref[cells] = table[slots[cells], np.arange(table.shape[1])[:, None]]
 
     bands.run_bands(band, hi)
     return slots, h_ref
@@ -199,9 +195,10 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
     smaller metric (the NFA, or the cross SSD in SS_ONLY) replaces the best
     so far.  So a pixel stays active only until its best metric is the
     least that metric can be: the NFA floor n_test * 2^-(L-1)N, where every
-    component sits at quantizer index 0, or a cross SSD of 0.  A disparity
-    with no active cell is skipped.  The cross and self SSD maps cover
-    exactly these cells."""
+    component sits at quantizer index 0, or a cross SSD of 0.  At each
+    disparity, nfa_at and the cross SSD map see only the span of columns
+    that holds an active pixel, and a disparity with no active pixel is
+    skipped.  The self SSD map covers exactly rows x cols."""
     side = params.block_side
     wi_s = secondary.width - side + 1
     shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -221,12 +218,16 @@ def scan_band(rows: slice, cols: slice, nfa_at, reference: GrayImage,
         lo, hi = max(cols.start, -d), min(cols.stop, wi_s - d)
         if lo >= hi:
             continue
-        at = np.s_[:, lo - cols.start:hi - cols.start]
         # only a strictly smaller metric wins (upd below), so a pixel whose
-        # best is the least metric keeps it and leaves the scan
-        active = best_metric[at] != least
-        if not active.any():
+        # best is the least metric keeps it and leaves the scan; the window
+        # narrows to the columns that still hold an active pixel
+        active = best_metric[:, lo - cols.start:hi - cols.start] != least
+        live = np.flatnonzero(active.any(axis=0))
+        if not live.size:
             continue
+        active = active[:, live[0]:live[-1] + 1]
+        lo, hi = lo + int(live[0]), lo + int(live[-1]) + 1
+        at = np.s_[:, lo - cols.start:hi - cols.start]
         nfa_d = nfa_at(d, lo, hi, active)
         if need_cross:
             cross = self_sim.aligned_ssd_map(reference, secondary, d, side,

@@ -111,10 +111,11 @@ def monte_carlo_false_alarms(image: GrayImage,
     model, and meaningful matches are counted with the same number of tests
     as a real run.  Returns the mean count per trial (expected <= epsilon).
 
-    One band pass projects the reference and takes each pixel's N dominant
-    components and their CDF values.  A drawn block takes, for each of those
-    components, an independent uniform draw among the m sorted training
-    values, so each round draws one (pixels, N) table of sorted positions.
+    One band pass projects the reference row by row, keeps each pixel's N
+    dominant components and their coefficients, and takes their CDF
+    values.  A drawn block takes, for each of those components, an
+    independent uniform draw among the m sorted training values, so each
+    round draws one (pixels, N) table of sorted positions.
     A cell scores the drawn value's last-occurrence rank over m: the CDF
     value that match_pair gives a secondary block with that coefficient.
     Raises DimensionMismatch unless the model has the params' block side and
@@ -133,15 +134,17 @@ def monte_carlo_false_alarms(image: GrayImage,
     hq = np.empty((hi * wi, k))
 
     def reference(rows):
-        coeffs = patch_model.project(
-            basis, patch_model.interior_blocks(image, side, rows))
-        band = model.slots(core.top_components(coeffs, k))
+        order = np.empty(((rows.stop - rows.start) * wi, k), dtype=np.intp)
+        tested = np.empty(order.shape)
+        for at, coeffs in patch_model.project_rows(basis, image, rows):
+            order[at] = core.top_components(coeffs, k)
+            tested[at] = np.take_along_axis(coeffs, order[at], axis=1)
+        band = model.slots(order)
         # each CDF only at the cells that test its component
         h = np.empty(band.shape)
         for r in np.unique(band):
             cells = np.flatnonzero(band == r)
-            h.flat[cells] = patch_model.cdf_eval(
-                cdfs[r], coeffs[cells // k, model.components[r]])
+            h.flat[cells] = patch_model.cdf_eval(cdfs[r], tested.flat[cells])
         slots[rows.start * wi:rows.stop * wi] = band
         hq[rows.start * wi:rows.stop * wi] = h
 
