@@ -3,7 +3,9 @@ fixed scenes.  A change that keeps every decision passes this file
 unchanged; a change that moves decisions by design updates the expected
 values in the same commit and says which scenes changed.
 
-The scenes are small and each basis is learned once.  At near ties the
+The scenes are small and each basis is learned once, except two full-size
+pairs that match_pair learns a basis for: criterion 9's 512x512 pair and a
+320x320 pair with a stripe band at R=32.  At near ties the
 bytes depend on how the BLAS build rounds a block's projection, so another
 BLAS build can fail here.  The band height and the caller's BLAS thread
 count cannot: each block is its own product, on one BLAS thread.
@@ -45,6 +47,17 @@ def non_integer():
     pixels = np.random.default_rng(22).normal(128.0, 40.0, (48, 64))
     pixels[30:] = np.where(np.arange(64) % 2, 200.5, 60.25)
     return GrayImage(pixels), GrayImage(np.roll(pixels, 2, axis=1))
+
+
+def criterion_9():
+    ref, sec, _ = gen_translated_pair(512, 512, 2, texture_seed=0)
+    return ref, sec, 5
+
+
+def stripes_at_r32():
+    ref, sec, _ = gen_translated_pair(320, 320, 17, texture_seed=0,
+                                      stripe_rows=(120, 200))
+    return ref, sec, 32
 
 
 def digest(dmap):
@@ -118,6 +131,14 @@ EXPECTED = {
 EXPECTED_12_LEVELS_20_COMPONENTS = (
     "f75cc380d4ca70dc34d7f652089219bb02fbf7c6042e7b53755fc91ae31080aa")
 
+# the full-size scenes in acbm+ss at epsilon 1, each at its own radius
+FULL_SIZE = {
+    criterion_9:
+        "46d98872e91a569e6c9f0af677c9f787ea6cc3c3c868c93bc6eeebaf64ae3358",
+    stripes_at_r32:
+        "f622ec4aab08110702a57a21fee79ed670a23aa80b83827702b3d36797a0532c",
+}
+
 # Monte-Carlo counts: the criterion-2 probe, the saturated runs of
 # SATURATED_RUNS and the benchmark's h0 operation
 CRITERION_2_PROBE = 3331.5
@@ -147,6 +168,11 @@ def decisions_at_12_levels_20_components():
     params = AcbmParams(search_radius=5, epsilon=1e6, num_components=20,
                         num_levels=12)
     return digest(match_pair(ref, sec, params, basis=basis))
+
+
+def full_size_decisions(scene):
+    ref, sec, radius = scene()
+    return digest(match_pair(ref, sec, AcbmParams(search_radius=radius)))
 
 
 def criterion_2_probe():
@@ -194,6 +220,11 @@ def test_match_pair_decisions_at_12_levels_20_components():
         EXPECTED_12_LEVELS_20_COMPONENTS
 
 
+@pytest.mark.parametrize("scene", list(FULL_SIZE), ids=lambda s: s.__name__)
+def test_full_size_decisions(scene):
+    assert full_size_decisions(scene) == FULL_SIZE[scene]
+
+
 def test_criterion_2_probe_count():
     assert criterion_2_probe() == CRITERION_2_PROBE
 
@@ -212,7 +243,7 @@ def number(x):
     return power if x >= 1e4 and float(power) == x else repr(x)
 
 
-def fixture_source(expected, at_12_20, probe, saturated, h0):
+def fixture_source(expected, at_12_20, full_size, probe, saturated, h0):
     """The expected values as this file writes them."""
     lines = ["EXPECTED = {"]
     for scene, digests in expected.items():
@@ -226,6 +257,12 @@ def fixture_source(expected, at_12_20, probe, saturated, h0):
               "epsilon 1e6",
               "EXPECTED_12_LEVELS_20_COMPONENTS = (", f'    "{at_12_20}")',
               "",
+              "# the full-size scenes in acbm+ss at epsilon 1, each at its "
+              "own radius",
+              "FULL_SIZE = {"]
+    for scene, value in full_size.items():
+        lines += [f"    {scene.__name__}:", f'        "{value}",']
+    lines += ["}", "",
               "# Monte-Carlo counts: the criterion-2 probe, the saturated "
               "runs of",
               "# SATURATED_RUNS and the benchmark's h0 operation",
@@ -237,11 +274,14 @@ def fixture_source(expected, at_12_20, probe, saturated, h0):
 
 def test_fixture_source_is_this_files_layout():
     text = fixture_source(EXPECTED, EXPECTED_12_LEVELS_20_COMPONENTS,
-                          CRITERION_2_PROBE, SATURATED_COUNTS, H0_COUNT)
+                          FULL_SIZE, CRITERION_2_PROBE, SATURATED_COUNTS,
+                          H0_COUNT)
     assert text in Path(__file__).read_text()
 
 
 if __name__ == "__main__":
     print(fixture_source({scene: decisions(scene) for scene in EXPECTED},
                          decisions_at_12_levels_20_components(),
+                         {scene: full_size_decisions(scene)
+                          for scene in FULL_SIZE},
                          criterion_2_probe(), saturated_counts(), h0_count()))
