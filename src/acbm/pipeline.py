@@ -58,21 +58,25 @@ class CandidateScore:
 
 
 def component_order(image: GrayImage, basis: PatchBasis,
-                    num_components: int) -> np.ndarray:
-    """Per interior pixel (row-major grid): indices of the num_components
-    locally dominant components, an (n, N) table in the smallest unsigned
-    type that holds s - 1.  Row bands run on the band pool."""
+                    num_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per interior pixel (row-major grid): (order, tested), (n, N) tables
+    of the indices of the num_components locally dominant components, in
+    the smallest unsigned type that holds s - 1, and of the pixel's float64
+    coefficients on them.  Row bands run on the band pool."""
     hi, wi = patch_model.interior_shape(image, basis.block_side)
     order = np.empty((hi * wi, num_components),
                      dtype=np.min_scalar_type(basis.size - 1))
+    tested = np.empty(order.shape)
 
     def band(rows):
-        out = order[rows.start * wi:rows.stop * wi]
+        out = np.s_[rows.start * wi:rows.stop * wi]
         for cells, coeffs in patch_model.project_rows(basis, image, rows):
-            out[cells] = core.top_components(coeffs, num_components)
+            top = core.top_components(coeffs, num_components)
+            order[out][cells] = top
+            tested[out][cells] = np.take_along_axis(coeffs, top, axis=1)
 
     bands.run_bands(band, hi)
-    return order
+    return order, tested
 
 
 def reference_tables(image: GrayImage, model: BackgroundModel,
@@ -142,8 +146,9 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
         raise DimensionMismatch(f"basis block side {basis.block_side} != "
                                 f"params block side {side}")
 
-    # tables only for the secondary components the reference tests
-    order = component_order(reference, basis, params.num_components)
+    # tables only for the secondary components the reference tests; the
+    # coefficients are dropped here, before training_ranks sets the peak
+    order = component_order(reference, basis, params.num_components)[0]
     model, ranks = patch_model.training_ranks(basis, secondary,
                                               np.unique(order))
     slots, hq = reference_tables(reference, model, order)

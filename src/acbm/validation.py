@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bands, core, patch_model, pipeline
+from . import core, patch_model, pipeline
 from .errors import DimensionMismatch
 from .imgio import (DisparityMap, GrayImage, load_gray, parse_disparity,
                     parse_gray, read_file)
@@ -111,11 +111,12 @@ def monte_carlo_false_alarms(image: GrayImage,
     model, and meaningful matches are counted with the same number of tests
     as a real run.  Returns the mean count per trial (expected <= epsilon).
 
-    One band pass projects the reference row by row, keeps each pixel's N
-    dominant components and their coefficients, and takes their CDF
-    values.  A drawn block takes, for each of those components, an
-    independent uniform draw among the m sorted training values, so each
-    round draws one (pixels, N) table of sorted positions.
+    Each pixel's N components and its coefficients on them come from
+    component_order, the pass match_pair takes its order from.  Each CDF
+    is then evaluated once, over the pixels that test its component.  A
+    drawn block takes, for each of those components, an independent
+    uniform draw among the m sorted training values, so each round draws
+    one (pixels, N) table of sorted positions.
     A cell scores the drawn value's last-occurrence rank over m: the CDF
     value that match_pair gives a secondary block with that coefficient.
     Raises DimensionMismatch unless the model has the params' block side and
@@ -127,35 +128,21 @@ def monte_carlo_false_alarms(image: GrayImage,
     if side != params.block_side:
         raise DimensionMismatch(f"model block side {side} != "
                                 f"params block side {params.block_side}")
-    hi, wi = patch_model.interior_shape(image, side)
     m = cdfs.shape[1]
     n_test = core.number_of_tests(image.width * image.height, params)
-    slots = np.empty((hi * wi, k), dtype=np.intp)
-    hq = np.empty((hi * wi, k))
-
-    def reference(rows):
-        order = np.empty(((rows.stop - rows.start) * wi, k), dtype=np.intp)
-        tested = np.empty(order.shape)
-        for at, coeffs in patch_model.project_rows(basis, image, rows):
-            order[at] = core.top_components(coeffs, k)
-            tested[at] = np.take_along_axis(coeffs, order[at], axis=1)
-        band = model.slots(order)
-        # each CDF only at the cells that test its component
-        h = np.empty(band.shape)
-        for r in np.unique(band):
-            cells = np.flatnonzero(band == r)
-            h.flat[cells] = patch_model.cdf_eval(cdfs[r], tested.flat[cells])
-        slots[rows.start * wi:rows.stop * wi] = band
-        hq[rows.start * wi:rows.stop * wi] = h
-
-    bands.run_bands(reference, hi)
+    order, hq = pipeline.component_order(image, basis, k)
+    slots = model.slots(order)
+    # hq holds the tested coefficients until each is replaced by its CDF value
+    for r in np.unique(slots):
+        cells = np.flatnonzero(slots == r)
+        hq.flat[cells] = patch_model.cdf_eval(cdfs[r], hq.flat[cells])
     ranks = np.stack([patch_model.last_ranks(row) for row in cdfs])
     counts = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         hits = 0
         for _ in range(2 * params.search_radius + 1):
-            drawn = rng.integers(m, size=(hi * wi, k))
+            drawn = rng.integers(m, size=slots.shape)
             nfas = pipeline.candidate_nfa_block(hq, ranks[slots, drawn] / m,
                                                 n_test, params.num_levels)
             hits += int((nfas <= params.epsilon).sum())

@@ -318,7 +318,7 @@ def test_reference_tables_match_one_shot_oracle(banded_pair, learned):
         basis = PatchBasis(5, np.zeros(25), np.eye(25), np.ones(25))
     model, _ = training_ranks(basis, sec, np.arange(basis.size))
     for count in (5, 9, 25):
-        order = component_order(ref, basis, count)
+        order, _ = component_order(ref, basis, count)
         want_order, want_h = oracle_reference_tables(ref, basis, model.cdfs,
                                                      count)
         assert order.shape == want_order.shape == (86 * 44, count)
@@ -347,8 +347,10 @@ def test_row_streamed_tables_equal_whole_image_projection(width, height):
     assert np.may_share_memory(interior_blocks(image, 5),
                                image.pixels) == (width == 5)
     coeffs = project(basis, interior_blocks(image, 5))
-    order = component_order(image, basis, 9)
+    order, tested = component_order(image, basis, 9)
     assert np.array_equal(order, core.top_components(coeffs, 9))
+    assert tested.tobytes() == np.take_along_axis(coeffs, order,
+                                                  axis=1).tobytes()
     if len(coeffs) < 2:
         with pytest.raises(ImageTooSmall):
             patch_model.training_values(basis, image, np.arange(25))
@@ -370,7 +372,7 @@ def test_reference_tables_rejects_wrong_cdf_count(count):
     # the model checks its own size: a wrong one is never built
     img = gen_texture(40, 40, seed=1)
     model = learn_background_model(img, 5)
-    order = component_order(img, model.basis, 9)
+    order, _ = component_order(img, model.basis, 9)
     cdfs = np.resize(model.cdfs, (count, model.cdfs.shape[1]))
     with pytest.raises(DimensionMismatch):
         reference_tables(img, BackgroundModel(model.basis, cdfs), order)
@@ -378,7 +380,7 @@ def test_reference_tables_rejects_wrong_cdf_count(count):
 
 def test_model_missing_a_needed_component_is_rejected(small_pair):
     ref, sec, params, model = small_pair
-    order = component_order(ref, model.basis, params.num_components)
+    order, _ = component_order(ref, model.basis, params.num_components)
     used = np.unique(order)
     assert used.size > 1
     for lost in (used[0], used[-1]):
@@ -517,7 +519,7 @@ def test_match_pixel_agrees_at_block_17():
     params = AcbmParams(search_radius=3, block_side=17, num_components=12)
     basis = PatchBasis(17, np.full(289, 128.0), np.eye(289), np.ones(289))
     model = training_ranks(basis, sec, np.arange(289))[0]
-    order = component_order(ref, basis, 12)
+    order, _ = component_order(ref, basis, 12)
     assert order.dtype == np.uint16 and order.max() > 255
     probes = [(x, y) for y in (8, 28, 39) for x in range(8, 36, 3)]
     states = set()
@@ -787,9 +789,11 @@ def test_match_pair_memory_bound(monkeypatch):
     the calling thread so that they do not depend on the core count.
     Basis: one (n, s) float64 table, 22 MB (two tables took 44 MB).  Model
     and scan: sorted values and integer ranks of the 51 of 81 components
-    the reference uses, and the band tables, 24.6 MB (33 MB when each band
-    task projected its whole band at once, 44 MB with all 81 components,
-    63 MB with a float CDF-value table in place of the ranks)."""
+    the reference uses, and the band tables, 24.6 MB (27.0 MB when
+    match_pair kept component_order's coefficient table alive, 33 MB when
+    each band task projected its whole band at once, 44 MB with all 81
+    components, 63 MB with a float CDF-value table in place of the
+    ranks)."""
     monkeypatch.setattr(bands, "run_parallel",
                         lambda task, items: [task(item) for item in items])
     ref = gen_texture(192, 192, seed=7)
@@ -806,7 +810,7 @@ def test_match_pair_memory_bound(monkeypatch):
         tracemalloc.stop()
     assert dmap.accepted.any()
     assert basis_peak < 33e6
-    assert match_peak < 27e6
+    assert match_peak < 26e6
 
 
 def test_match_pixel_no_candidates():

@@ -271,7 +271,8 @@ def test_monte_carlo_rejects_a_partial_model(saturated_model):
     # a drawn block needs only the components the reference tests
     img, model = saturated_model
     params = AcbmParams(search_radius=2, epsilon=1e6)
-    order = pipeline.component_order(img, model.basis, params.num_components)
+    order, _ = pipeline.component_order(img, model.basis,
+                                        params.num_components)
     used = np.unique(order)
     assert used.size < 81
     whole = monte_carlo_false_alarms(img, model, params, trials=2, seed=9)
@@ -287,7 +288,8 @@ def test_monte_carlo_rejects_a_partial_model(saturated_model):
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
     cdfs = model.cdfs
-    order = pipeline.component_order(image, model.basis, params.num_components)
+    order, _ = pipeline.component_order(image, model.basis,
+                                        params.num_components)
     slots, hq = pipeline.reference_tables(image, model, order)
     n_test = core.number_of_tests(image.width * image.height, params)
     m = cdfs.shape[1]
@@ -368,7 +370,7 @@ def exact_false_alarms(image, model, params, trials):
     slots, as in exact_h0_hit_probability, gives each pixel's hit
     probability; cells are independent Bernoulli trials."""
     levels, n = params.num_levels, params.num_components
-    order = pipeline.component_order(image, model.basis, n)
+    order, _ = pipeline.component_order(image, model.basis, n)
     slots, hq = pipeline.reference_tables(image, model, order)
     n_test = core.number_of_tests(image.width * image.height, params)
     m = model.cdfs.shape[1]
