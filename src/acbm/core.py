@@ -68,12 +68,12 @@ def top_components(coeffs: np.ndarray, count: int) -> np.ndarray:
     s = a.shape[1]
     nth = np.partition(a, s - count, axis=1)[:, s - count, None]
     keep = a >= nth
-    tied = np.flatnonzero(keep.sum(axis=1) > count)
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > count)
     if tied.size:
         at_nth = a[tied] == nth[tied]
         room = count - (a[tied] > nth[tied]).sum(axis=1, keepdims=True)
         keep[tied] &= ~at_nth | (np.cumsum(at_nth, axis=1) <= room)
-    kept = np.nonzero(keep)[1].reshape(-1, count)
+    kept = (np.flatnonzero(keep) % s).reshape(-1, count)
     by_size = np.argsort(-np.take_along_axis(a, kept, axis=1), axis=1,
                          kind="stable")
     return np.take_along_axis(kept, by_size, axis=1)

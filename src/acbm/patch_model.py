@@ -279,24 +279,23 @@ def training_ranks(basis: PatchBasis, image: GrayImage, components: np.ndarray,
     """Empirical CDF of each of the given components over every complete
     block of the image, and every block's own CDF values as integer ranks.
 
-    Returns (model, ranks).  ranks is an (m, u) table in interior_blocks
-    order, of the smallest unsigned type that holds m; column i over m
-    equals cdf_eval(model.cdfs[i], value) bit for bit at every training
-    value of component components[i], because a training value's CDF value
-    is its last-occurrence rank over m.  One pool task per component sorts
-    its row of training_values in place.
+    Returns (model, ranks).  ranks is a (u, m) table, component-major like
+    model.cdfs, of the smallest unsigned type that holds m; its row i, in
+    interior_blocks order, over m equals cdf_eval(model.cdfs[i], value) bit
+    for bit at every training value of component components[i], because a
+    training value's CDF value is its last-occurrence rank over m.  One
+    pool task per component sorts its row of training_values in place and
+    writes its contiguous row of ranks.
     """
     sorted_values = training_values(basis, image, components)
     m = sorted_values.shape[1]
-    ranks = np.empty((m, len(components)), dtype=np.min_scalar_type(m))
+    ranks = np.empty((len(components), m), dtype=np.min_scalar_type(m))
 
     def component(i):
         sv = sorted_values[i]
         perm = np.argsort(sv)
         sv[:] = sv[perm]
-        column = np.empty(m, dtype=ranks.dtype)
-        column[perm] = last_ranks(sv)
-        ranks[:, i] = column
+        ranks[i][perm] = last_ranks(sv)
 
     bands.run_parallel(component, range(len(components)))
     return BackgroundModel(basis, sorted_values, components), ranks
@@ -308,10 +307,13 @@ def last_ranks(sorted_row: np.ndarray) -> np.ndarray:
     the smallest unsigned type that holds m.  Over m it is cdf_eval's value
     at that training value, bit for bit."""
     m = sorted_row.size
+    dtype = np.min_scalar_type(m)
     run_end = np.empty(m, dtype=bool)
     run_end[-1] = True
     np.not_equal(sorted_row[1:], sorted_row[:-1], out=run_end[:-1])
-    ends = (np.flatnonzero(run_end) + 1).astype(np.min_scalar_type(m))
+    if run_end.all():   # no ties: every value ends its own run
+        return np.arange(1, m + 1, dtype=dtype)
+    ends = (np.flatnonzero(run_end) + 1).astype(dtype)
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 

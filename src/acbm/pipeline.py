@@ -156,7 +156,7 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
 
     hi, wi_r = patch_model.interior_shape(reference, side)
     wi_s = secondary.width - side + 1
-    m, u = ranks.shape
+    m = ranks.shape[1]
     slot3 = slots.reshape(hi, wi_r, params.num_components)
     hq3 = hq.reshape(hi, wi_r, params.num_components)
     n_test = core.number_of_tests(reference.width * reference.height, params)
@@ -166,16 +166,16 @@ def match_pair(reference: GrayImage, secondary: GrayImage, params: AcbmParams,
     nfa = np.full(reference.pixels.shape, np.nan)
 
     def band(rows):
-        # flat index of (secondary block at disparity 0, slot) in ranks;
-        # disparity d adds d * u
+        # flat index of (slot, secondary block at disparity 0) in ranks;
+        # disparity d adds d
         y, x = np.ogrid[rows, :wi_r]
-        at_zero = ((y * wi_s + x) * u)[..., None] + slot3[rows]
+        at_zero = slot3[rows].astype(np.intp) * m + (y * wi_s + x)[..., None]
 
         def nfa_at(d, lo, hi_col, active):
             nfa_d = np.full(active.shape, np.inf)
             cells = np.nonzero(active)
             # a secondary block's CDF value is its rank over m
-            hqp = np.take(ranks, at_zero[:, lo:hi_col][cells] + d * u) / m
+            hqp = np.take(ranks, at_zero[:, lo:hi_col][cells] + d) / m
             nfa_d[cells] = candidate_nfa_block(hq3[rows, lo:hi_col][cells],
                                                hqp, n_test, params.num_levels)
             return nfa_d

@@ -506,12 +506,14 @@ def test_training_ranks_match_cdf_eval(image, dtype):
     m = coeffs.shape[0]
     model, ranks = training_ranks(basis, image, np.arange(basis.size))
     assert model.basis is basis and model.cdfs.shape == (81, m)
-    assert ranks.shape == (m, 81) and ranks.dtype == dtype
+    assert ranks.shape == (81, m) and ranks.dtype == dtype
+    assert ranks.flags.c_contiguous
     for i, cdf in enumerate(model.cdfs):
         column = coeffs[:, i]
         assert np.unique(column).size < 0.7 * column.size
         assert np.array_equal(cdf, np.sort(column))
-        assert (ranks[:, i] / m).tobytes() == \
+        assert ranks[i].flags.c_contiguous
+        assert (ranks[i] / m).tobytes() == \
             cdf_eval(cdf, column).tobytes(), i
 
 
@@ -531,9 +533,9 @@ def test_training_ranks_on_components_equal_full_rows(image, dtype):
         assert ranks.dtype == full_ranks.dtype == dtype
         assert model.cdfs.shape == (components.size, full.cdfs.shape[1])
         assert model.cdfs.tobytes() == full.cdfs[components].tobytes()
-        assert ranks.shape == (full_ranks.shape[0], components.size)
-        assert ranks.tobytes() == \
-            np.ascontiguousarray(full_ranks[:, components]).tobytes()
+        assert ranks.shape == (components.size, full_ranks.shape[1])
+        assert ranks.flags.c_contiguous
+        assert ranks.tobytes() == full_ranks[components].tobytes()
 
 
 @pytest.mark.parametrize("image", [
@@ -554,7 +556,7 @@ def test_training_ranks_need_two_blocks():
     with pytest.raises(ImageTooSmall):
         training_ranks(basis, gen_texture(5, 5, seed=2), every)
     model, ranks = training_ranks(basis, gen_texture(6, 5, seed=2), every)
-    assert ranks.shape == (2, 25)
+    assert ranks.shape == (25, 2)
     assert model.cdfs.shape == (25, 2)
 
 
@@ -608,6 +610,13 @@ def test_last_ranks_equal_searchsorted(m):
     # -0.0 and 0.0 compare equal, so they share one run of ties
     signs = np.signbit(rows[3][rows[3] == 0])
     assert signs.any() and (m == 1 or not signs.all())
+    if m >= 2:
+        # one tie each, at the start and at the end of the row: the
+        # shortcut for a tie-free row must not fire on either
+        first, last = np.sort(rng.normal(size=(2, m)), axis=1)
+        first[1], last[-1] = first[0], last[-2]
+        assert np.unique(first).size == np.unique(last).size == m - 1
+        rows = np.vstack([rows, first, last])
     for row in rows:
         got = last_ranks(row)
         assert got.dtype == np.min_scalar_type(m)
