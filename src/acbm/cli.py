@@ -46,6 +46,11 @@ def _params(args) -> AcbmParams:
                       num_levels=args.quanta)
 
 
+def _row_span(text) -> tuple[int, int]:
+    y0, y1 = text.split(":")   # argparse turns a ValueError into a usage error
+    return int(y0), int(y1)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="acbm",
                      description="A contrario block matching for rectified "
@@ -99,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--shift", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stripe-rows", default=None, metavar="Y0:Y1",
+    p.add_argument("--stripe-rows", type=_row_span, metavar="Y0:Y1",
                    help="replace rows [Y0, Y1) with vertical stripes")
     p.add_argument("--stripe-period", type=int, default=4)
     p.add_argument("--out-left", default="shift_left.pgm")
@@ -174,21 +179,10 @@ def _cmd_synth_noise(args) -> int:
     return 0
 
 
-def _parse_stripe_rows(text):
-    if text is None:
-        return None
-    try:
-        y0, y1 = text.split(":")
-        return int(y0), int(y1)
-    except ValueError:
-        raise ValueError(f"--stripe-rows wants Y0:Y1, got {text!r}") from None
-
-
 def _cmd_synth_shift(args) -> int:
-    rows = _parse_stripe_rows(args.stripe_rows)
     ref, sec, gt = validation.gen_translated_pair(
         args.width, args.height, args.shift, texture_seed=args.seed,
-        stripe_rows=rows, stripe_period=args.stripe_period)
+        stripe_rows=args.stripe_rows, stripe_period=args.stripe_period)
     imgio.save_pgm(ref, args.out_left, maxval=255)
     imgio.save_pgm(sec, args.out_right, maxval=255)
     state = np.where(gt.valid, CellState.ACCEPTED,

@@ -75,6 +75,17 @@ class BackgroundModel:
             raise DimensionMismatch("the model lacks a component of order")
         return slots
 
+    def cdf_values(self, order: np.ndarray, values: np.ndarray):
+        """(slots, h): slots(order broadcast to values' shape), and h the
+        values' CDF values under those rows, each row's CDF evaluated once
+        over the cells that test it."""
+        slots = self.slots(np.broadcast_to(order, values.shape))
+        h = np.empty(slots.shape)
+        for r in np.unique(slots):
+            cells = np.flatnonzero(slots == r)
+            h.flat[cells] = cdf_eval(self.cdfs[r], values.flat[cells])
+        return slots, h
+
 
 def extract_block(image: GrayImage, q: tuple[int, int], block_side: int) -> np.ndarray:
     """Row-major samples of the block_side x block_side window centered at

@@ -275,8 +275,7 @@ def scan_candidates(q: tuple[int, int], model: BackgroundModel,
     coeffs = bands.run_parallel(
         lambda bs: patch_model.project(model.basis, bs), [blocks])[0]
     order = core.top_components(coeffs[:1], params.num_components)[0]
-    h = np.stack([patch_model.cdf_eval(model.cdfs[j], coeffs[:, i])
-                  for i, j in zip(order, model.slots(order))], axis=1)
+    h = model.cdf_values(order, coeffs[:, order])[1]
     n_test = core.number_of_tests(reference.width * reference.height, params)
     levels = core.quantize_array(core.resemblance_probability(h[0], h[1:]),
                                  params.num_levels)

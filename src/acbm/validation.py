@@ -112,11 +112,11 @@ def monte_carlo_false_alarms(image: GrayImage,
     as a real run.  Returns the mean count per trial (expected <= epsilon).
 
     Each pixel's N components and its coefficients on them come from
-    component_order, the pass match_pair takes its order from.  Each CDF
-    is then evaluated once, over the pixels that test its component.  A
-    drawn block takes, for each of those components, an independent
-    uniform draw among the m sorted training values, so each round draws
-    one (pixels, N) table of sorted positions.
+    component_order, the pass match_pair takes its order from, and the
+    coefficients' CDF values from model.cdf_values.  A drawn block takes,
+    for each of those components, an independent uniform draw among the
+    m sorted training values, so each round draws one (pixels, N) table
+    of sorted positions.
     A cell scores the drawn value's last-occurrence rank over m: the CDF
     value that match_pair gives a secondary block with that coefficient.
     Raises DimensionMismatch unless the model has the params' block side and
@@ -130,12 +130,7 @@ def monte_carlo_false_alarms(image: GrayImage,
                                 f"params block side {params.block_side}")
     m = cdfs.shape[1]
     n_test = core.number_of_tests(image.width * image.height, params)
-    order, hq = pipeline.component_order(image, basis, k)
-    slots = model.slots(order)
-    # hq holds the tested coefficients until each is replaced by its CDF value
-    for r in np.unique(slots):
-        cells = np.flatnonzero(slots == r)
-        hq.flat[cells] = patch_model.cdf_eval(cdfs[r], hq.flat[cells])
+    slots, hq = model.cdf_values(*pipeline.component_order(image, basis, k))
     ranks = np.stack([patch_model.last_ranks(row) for row in cdfs])
     counts = np.empty(trials)
     for t in range(trials):

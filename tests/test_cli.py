@@ -62,6 +62,18 @@ def test_synth_shift_stripe_rows(tmp_path):
     assert set(np.unique(band)) == {0.0, 255.0}
 
 
+@pytest.mark.parametrize("rows", ["8", "8:16:2"])
+def test_synth_shift_stripe_rows_need_two_bounds(rows, tmp_path, capsys):
+    left = tmp_path / "sl.pgm"
+    assert main(["synth-shift", "--stripe-rows", rows,
+                 "--out-left", str(left),
+                 "--out-right", str(tmp_path / "sr.pgm"),
+                 "--out-gt", str(tmp_path / "sg.tsv"),
+                 "--out-mask", str(tmp_path / "sm.pgm")]) == 1
+    assert "--stripe-rows" in capsys.readouterr().err
+    assert not left.exists()
+
+
 def test_match_and_eval_round_trip(shift_pair, tmp_path, capsys):
     out = str(tmp_path / "disp.tsv")
     viz = str(tmp_path / "disp.pgm")

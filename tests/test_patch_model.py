@@ -517,6 +517,56 @@ def test_training_ranks_match_cdf_eval(image, dtype):
             cdf_eval(cdf, column).tobytes(), i
 
 
+@pytest.fixture(scope="module")
+def saturated_tests():
+    """A model learned on a saturated square, whose CDF rows hold long runs
+    of ties, and the coefficients of a texture's and the square's own
+    blocks with each block's 9 largest-magnitude components."""
+    image = saturated_square(96)
+    model = learn_background_model(image, 9)
+    coeffs = np.vstack([
+        project(model.basis, interior_blocks(img, 9))
+        for img in (image, gen_texture(40, 30, seed=3))])
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :9]
+    return model, coeffs, order
+
+
+def test_cdf_values_equal_per_column_cdf_eval(saturated_tests):
+    full, coeffs, order = saturated_tests
+    want = np.stack([cdf_eval(cdf, coeffs[:, i])
+                     for i, cdf in enumerate(full.cdfs)], axis=1)
+    want = np.take_along_axis(want, order, axis=1)
+    used = np.unique(order)
+    assert used.size < 81
+    partial, _ = training_ranks(full.basis, saturated_square(96), used)
+    for model in (full, partial):
+        slots, h = model.cdf_values(order,
+                                    np.take_along_axis(coeffs, order, 1))
+        assert slots.shape == order.shape
+        assert np.array_equal(model.components[slots], order)
+        assert h.tobytes() == want.tobytes()
+
+
+def test_cdf_values_broadcast_one_order(saturated_tests):
+    # scan_candidates' shape: one pixel's order against its 1 + D blocks
+    model, coeffs, order = saturated_tests
+    values = coeffs[:7][:, order[0]]
+    slots, h = model.cdf_values(order[0], values)
+    assert slots.shape == h.shape == (7, 9)
+    assert (slots == model.slots(order[0])).all()
+    for j, i in enumerate(order[0]):
+        assert h[:, j].tobytes() == cdf_eval(model.cdfs[i],
+                                             values[:, j]).tobytes()
+
+
+def test_cdf_values_need_every_tested_component(saturated_tests):
+    full, coeffs, order = saturated_tests
+    lacking, _ = training_ranks(full.basis, saturated_square(96),
+                                np.delete(np.arange(81), order[5, 3]))
+    with pytest.raises(DimensionMismatch):
+        lacking.cdf_values(order, np.take_along_axis(coeffs, order, 1))
+
+
 @pytest.mark.parametrize("image, dtype", [
     (saturated_square(23, 2, 21), np.uint8),        # 225 blocks
     (saturated_square(96), np.uint16),

@@ -285,12 +285,25 @@ def test_monte_carlo_rejects_a_partial_model(saturated_model):
         monte_carlo_false_alarms(img, lacking, params, trials=1)
 
 
+def oracle_tested(image, model, num_components):
+    """(order, hq) over the whole image at once, as oracle_reference_tables
+    in test_pipeline.py does: one projection, a full stable sort of the
+    magnitudes, every component's CDF values, then the gather.  The model
+    holds every component, so order indexes its CDF rows."""
+    assert len(model.cdfs) == model.basis.size
+    coeffs = patch_model.project(model.basis, patch_model.interior_blocks(
+        image, model.basis.block_side))
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
+    order = order[:, :num_components]
+    h = np.stack([patch_model.cdf_eval(cdf, coeffs[:, i])
+                  for i, cdf in enumerate(model.cdfs)], axis=1)
+    return order, np.take_along_axis(h, order, axis=1)
+
+
 def unbanded_false_alarms(image, model, params, trials, seed):
     """The Monte-Carlo round loop over the whole image at once."""
     cdfs = model.cdfs
-    order, _ = pipeline.component_order(image, model.basis,
-                                        params.num_components)
-    slots, hq = pipeline.reference_tables(image, model, order)
+    slots, hq = oracle_tested(image, model, params.num_components)
     n_test = core.number_of_tests(image.width * image.height, params)
     m = cdfs.shape[1]
     counts = []
@@ -300,8 +313,8 @@ def unbanded_false_alarms(image, model, params, trials, seed):
         for _ in range(2 * params.search_radius + 1):
             # a sorted training position per cell, scored by its rank here,
             # independently of last_ranks
-            drawn = rng.integers(m, size=order.shape)
-            hqp = np.empty(order.shape)
+            drawn = rng.integers(m, size=slots.shape)
+            hqp = np.empty(slots.shape)
             for r, cdf in enumerate(cdfs):
                 at = slots == r
                 hqp[at] = np.searchsorted(cdf, cdf[drawn[at]], "right") / m
@@ -370,14 +383,13 @@ def exact_false_alarms(image, model, params, trials):
     slots, as in exact_h0_hit_probability, gives each pixel's hit
     probability; cells are independent Bernoulli trials."""
     levels, n = params.num_levels, params.num_components
-    order, _ = pipeline.component_order(image, model.basis, n)
-    slots, hq = pipeline.reference_tables(image, model, order)
+    slots, hq = oracle_tested(image, model, n)
     n_test = core.number_of_tests(image.width * image.height, params)
     m = model.cdfs.shape[1]
     values = np.stack([np.searchsorted(cdf, cdf, "right") / m
                        for cdf in model.cdfs])
     top = (levels - 1) * n
-    law = np.zeros((len(order), levels, top + 1))
+    law = np.zeros((len(slots), levels, top + 1))
     law[:, 0, 0] = 1.0
     for j in range(n):
         index = core.quantize_index(core.resemblance_probability(
